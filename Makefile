@@ -28,6 +28,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -count=5 -run 'TestReplica|TestView|TestSnapshot' ./internal/store ./internal/serve
 	$(MAKE) fuzz-smoke
 	$(MAKE) smoke-serve
 	$(MAKE) metrics-smoke

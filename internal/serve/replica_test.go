@@ -92,6 +92,21 @@ func (c *severedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// syncLoop runs r.SyncLoop against addr until ctx ends; the cleanup joins
+// it, so it is not still writing into a TempDir being removed.
+func syncLoop(t *testing.T, ctx context.Context, cancel context.CancelFunc, r *store.Replica, addr string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = r.SyncLoop(ctx, addr)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+}
+
 // TestReplicaSmoke is the end-to-end read scale-out contract behind
 // `make replica-smoke`: one durable ingesting primary, two replicas syncing
 // over loopback TCP — one of which dies mid-ship and reconnects — and every
@@ -127,7 +142,6 @@ func TestReplicaSmoke(t *testing.T) {
 	addr := ln.Addr().String()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 
 	// Replica 1: healthy sync from the start.
 	r1, err := store.OpenReplica(store.ReplicaOptions{Dir: t.TempDir()})
@@ -135,7 +149,7 @@ func TestReplicaSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r1.Close()
-	go func() { _ = r1.SyncLoop(ctx, addr) }()
+	syncLoop(t, ctx, cancel, r1, addr)
 
 	// Replica 2: first connection severed mid-ship, then a clean reconnect.
 	r2, err := store.OpenReplica(store.ReplicaOptions{Dir: t.TempDir()})
@@ -150,7 +164,7 @@ func TestReplicaSmoke(t *testing.T) {
 	if err := r2.Sync(ctx, &severedConn{Conn: raw, budget: 500}); err == nil {
 		t.Fatal("severed sync reported success")
 	}
-	go func() { _ = r2.SyncLoop(ctx, addr) }()
+	syncLoop(t, ctx, cancel, r2, addr)
 
 	want := prim.Snapshot().Stats().Version
 	deadline := time.Now().Add(15 * time.Second)

@@ -19,9 +19,9 @@
 // Errors share one versioned JSON envelope, {"error":{"code","message"}},
 // with stable machine-readable codes (ErrCodeBadRequest and friends).
 //
-// Every handler accepts the request context and runs on one store.View
-// snapshot; per-endpoint request counters and latency histograms land in
-// the configured obs.Registry (WithObs), which /v1/metrics re-serves.
+// A request takes one store.View snapshot, the same for its result-cache
+// key and its handler; per-endpoint request counters and latency histograms
+// land in the configured obs.Registry (WithObs), which /v1/metrics re-serves.
 package serve
 
 import (
@@ -50,8 +50,8 @@ import (
 const timeLayout = time.RFC3339Nano
 
 // Source is anything that can produce consistent store snapshots — a
-// primary *store.Store or a read-only *store.Replica. Every handler works
-// on one snapshot per request.
+// primary *store.Store or a read-only *store.Replica. A request takes one
+// snapshot: the view its cache key names is the view its handler reads.
 type Source interface {
 	Snapshot() *store.View
 }
@@ -105,6 +105,10 @@ func WithResultCache(maxBytes int64) Option {
 // handlerFunc is an API handler: the request context is passed explicitly
 // so cancellation propagates without each handler re-deriving it.
 type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request)
+
+// viewHandler is a view-pure handler: its 200 body is a function of the
+// view and the URL alone.
+type viewHandler func(v *store.View, w http.ResponseWriter, r *http.Request)
 
 // New builds a server over a snapshot source — a primary store or a read
 // replica.
@@ -165,18 +169,20 @@ func (rr *resultRecorder) Write(p []byte) (int, error) {
 	return rr.ResponseWriter.Write(p)
 }
 
-// cached wraps a view-pure handler with the result cache. The key includes
-// the store's view generation, so any ingest, flush or replica commit that
-// changes visible state invalidates every cached response at once — two
-// identical GETs with an ingest between them can never serve the same
-// bytes from cache.
-func (s *Server) cached(h handlerFunc) handlerFunc {
-	if s.results == nil {
-		return h
-	}
+// cached takes the request's one snapshot and wraps a view-pure handler
+// with the result cache. The key includes that view's generation, so any
+// publication that changes visible state invalidates every cached response
+// at once — two identical GETs with an ingest between them can never serve
+// the same bytes from cache — and the body stored under a generation was
+// rendered from it.
+func (s *Server) cached(h viewHandler) handlerFunc {
 	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		version := s.st.Snapshot().Stats().Version
-		key := strconv.FormatUint(version, 16) + "\x00" + r.URL.Path + "\x00" + r.URL.RawQuery
+		v := s.st.Snapshot()
+		if s.results == nil {
+			h(v, w, r)
+			return
+		}
+		key := strconv.FormatUint(v.Stats().Version, 16) + "\x00" + r.URL.Path + "\x00" + r.URL.RawQuery
 		if body, ok := s.results.Get(key); ok {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -186,7 +192,7 @@ func (s *Server) cached(h handlerFunc) handlerFunc {
 			return
 		}
 		rr := &resultRecorder{ResponseWriter: w}
-		h(ctx, rr, r)
+		h(v, rr, r)
 		if rr.status == http.StatusOK && rr.body.Len() > 0 {
 			body := append([]byte(nil), rr.body.Bytes()...)
 			s.results.Put(key, body, int64(len(body))+int64(len(key)))
@@ -362,12 +368,11 @@ type WireProtocolIP struct {
 	History  []WireEvidenceSample `json:"history"`
 }
 
-func (s *Server) handleIP(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIP(v *store.View, w http.ResponseWriter, r *http.Request) {
 	addr, ok := s.parseAddr(w, r)
 	if !ok {
 		return
 	}
-	v := s.st.Snapshot()
 	if proto := r.URL.Query().Get("protocol"); proto != "" && proto != "snmpv3" {
 		if _, err := probe.Get(proto); err != nil {
 			s.protocolError(w, err)
@@ -395,12 +400,12 @@ func (s *Server) handleIP(ctx context.Context, w http.ResponseWriter, r *http.Re
 		s.writeJSON(w, out)
 		return
 	}
-	latest, ok := v.Latest(addr)
-	if !ok {
+	h := v.History(addr)
+	if len(h) == 0 {
 		s.notFound(w, "ip never observed")
 		return
 	}
-	h := v.History(addr)
+	latest := h[len(h)-1]
 	out := WireIP{
 		IP:      addr.String(),
 		Latest:  wireSample(latest),
@@ -413,14 +418,13 @@ func (s *Server) handleIP(ctx context.Context, w http.ResponseWriter, r *http.Re
 	s.writeJSON(w, out)
 }
 
-func (s *Server) handleDevice(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDevice(v *store.View, w http.ResponseWriter, r *http.Request) {
 	hexID := r.PathValue("engineID")
 	id, err := hex.DecodeString(hexID)
 	if err != nil || len(id) == 0 {
 		s.badRequest(w, "engine ID must be non-empty hex")
 		return
 	}
-	v := s.st.Snapshot()
 	ever := v.DeviceIPs(id)
 	sets := v.SetsForEngine(hexID)
 	if len(ever) == 0 && len(sets) == 0 {
@@ -438,8 +442,7 @@ func (s *Server) handleDevice(ctx context.Context, w http.ResponseWriter, r *htt
 	})
 }
 
-func (s *Server) handleVendors(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	v := s.st.Snapshot()
+func (s *Server) handleVendors(v *store.View, w http.ResponseWriter, r *http.Request) {
 	vendors := v.Vendors()
 	if vendors == nil {
 		vendors = []store.VendorCount{}
@@ -451,12 +454,11 @@ func (s *Server) handleVendors(ctx context.Context, w http.ResponseWriter, r *ht
 	})
 }
 
-func (s *Server) handleReboots(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReboots(v *store.View, w http.ResponseWriter, r *http.Request) {
 	addr, ok := s.parseAddr(w, r)
 	if !ok {
 		return
 	}
-	v := s.st.Snapshot()
 	tl := v.Timeline(addr)
 	if tl == nil {
 		s.notFound(w, "ip never observed")
@@ -500,8 +502,7 @@ type WireFusion struct {
 // tool, or a module since removed): trusted less than any built-in module.
 const defaultFusionWeight = 0.5
 
-func (s *Server) handleFusion(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	v := s.st.Snapshot()
+func (s *Server) handleFusion(v *store.View, w http.ResponseWriter, r *http.Request) {
 	campaign := v.Campaigns()
 	if campaign == 0 {
 		s.notFound(w, "no campaigns ingested")

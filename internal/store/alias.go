@@ -217,8 +217,8 @@ func (ai *aliasIndex) vendorCount() int { return len(ai.vendors) }
 // canonical order: sets by decreasing size then first member IP, members by
 // IP, vendors by decreasing device count then name — matching
 // alias.Resolve and the snmpalias report exactly.
-func (ai *aliasIndex) materialize() (sets []AliasSet, vendors []VendorCount, byEngine map[string][]int) {
-	sets = make([]AliasSet, 0, len(ai.sets))
+func (ai *aliasIndex) materialize() *aliasView {
+	sets := make([]AliasSet, 0, len(ai.sets))
 	for _, ds := range ai.sets {
 		s := AliasSet{
 			EngineID: hex.EncodeToString([]byte(ds.key.EngineID)),
@@ -237,11 +237,11 @@ func (ai *aliasIndex) materialize() (sets []AliasSet, vendors []VendorCount, byE
 		}
 		return sets[i].IPs[0].Less(sets[j].IPs[0])
 	})
-	byEngine = make(map[string][]int)
+	byEngine := make(map[string][]int)
 	for i := range sets {
 		byEngine[sets[i].EngineID] = append(byEngine[sets[i].EngineID], i)
 	}
-	vendors = make([]VendorCount, 0, len(ai.vendors))
+	vendors := make([]VendorCount, 0, len(ai.vendors))
 	for v, n := range ai.vendors {
 		vendors = append(vendors, VendorCount{Vendor: v, Devices: n})
 	}
@@ -251,5 +251,5 @@ func (ai *aliasIndex) materialize() (sets []AliasSet, vendors []VendorCount, byE
 		}
 		return vendors[i].Vendor < vendors[j].Vendor
 	})
-	return sets, vendors, byEngine
+	return &aliasView{sets: sets, vendors: vendors, byEngine: byEngine}
 }

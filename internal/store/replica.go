@@ -28,33 +28,30 @@ import (
 // memtable.
 //
 // Commits apply atomically: the shipped manifest bytes are renamed into
-// place first, then the in-memory segment list and derived state swap in
-// one critical section, and only after that are superseded local segment
-// files deleted — a segment shipped and then superseded by a racing
-// compaction can therefore never resurrect into the serving state.
+// place first, then the in-memory segment set swaps and the commit's view is
+// published in one critical section, and only after that are superseded
+// local segment files deleted — a segment shipped and then superseded by a
+// racing compaction can therefore never resurrect into the serving state.
 type Replica struct {
 	opt     ReplicaOptions
 	d       *disk
 	segStat *segStats
 
-	mu       sync.Mutex
-	segs     []*segment
-	byName   map[string]*segment
-	held     map[string]bool // complete segment files on disk
-	campaign uint64
-	der      derived
-	stats    Stats
-	statsOK  bool
-	applied  uint64 // applied manifest seq horizon
-	view     *View
-	viewOK   bool
+	mu      sync.Mutex
+	byName  map[string]*segment
+	held    map[string]bool // complete segment files on disk
+	applied uint64          // applied manifest seq horizon
+	pub     viewPub         // published at open and by every commit
+	// conns are the connections of Sync calls in flight, which syncs counts;
+	// Close severs the former and waits for the latter.
+	conns  map[net.Conn]struct{}
+	closed bool
+	syncs  sync.WaitGroup
 
 	primarySeq atomic.Uint64
 	appliedSeq atomic.Uint64
 	commits    atomic.Uint64
 	connected  atomic.Int64
-
-	closed atomic.Bool
 }
 
 // ReplicaOptions tunes a replica.
@@ -98,6 +95,7 @@ func OpenReplica(opt ReplicaOptions) (*Replica, error) {
 		d:      &disk{dir: opt.Dir},
 		byName: map[string]*segment{},
 		held:   map[string]bool{},
+		conns:  map[net.Conn]struct{}{},
 	}
 	r.segStat = &segStats{}
 	cacheBytes := opt.BlockCacheBytes
@@ -123,30 +121,46 @@ func OpenReplica(opt ReplicaOptions) (*Replica, error) {
 			return nil, err
 		}
 	}
+	var segs []*segment
 	for _, name := range man.Segments {
 		g, err := openSegment(opt.Dir, name, r.segStat, opt.VerifyOnOpen)
 		if err != nil {
 			return nil, err
 		}
-		r.segs = append(r.segs, g)
+		segs = append(segs, g)
 		r.byName[name] = g
 		r.held[name] = true
 	}
-	der, err := rebuildDerived(r.segs, nil, man.Campaigns, opt.Variant)
+	der, err := rebuildDerived(segs, nil, man.Campaigns, opt.Variant)
 	if err != nil {
 		return nil, err
 	}
-	r.der = der
-	r.campaign = der.campaign
 	r.applied = man.Seq
 	r.appliedSeq.Store(man.Seq)
 	r.primarySeq.Store(man.Seq)
+	// No stats shipped yet: serve locally derived counts so the endpoints
+	// are coherent, even though live-primary counters (flushes, memtable)
+	// are unknowable here.
+	stats := Stats{
+		Campaigns:         der.campaign,
+		Ingested:          der.ingested,
+		Segments:          len(segs),
+		TrackedIPs:        len(der.known),
+		CurrentResponsive: len(der.cur),
+		Devices:           len(der.engines),
+		AliasSets:         der.aidx.setCount(),
+		Vendors:           der.aidx.vendorCount(),
+	}
+	for _, g := range segs {
+		stats.SegmentSamples += g.length()
+	}
 	if data, err := os.ReadFile(filepath.Join(opt.Dir, replicaStatsName)); err == nil {
-		var st Stats
-		if json.Unmarshal(data, &st) == nil {
-			r.stats, r.statsOK = st, true
+		var shipped Stats
+		if json.Unmarshal(data, &shipped) == nil {
+			stats = shipped
 		}
 	}
+	r.pub.publish(segs, der.campaign, stats, der.aidx)
 	r.registerMetrics(opt.Obs)
 	return r, nil
 }
@@ -178,55 +192,26 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 	}
 }
 
-// Close marks the replica closed; in-flight Sync calls return after their
-// current frame.
+// Close severs every Sync in flight and waits for it to return, so nothing
+// writes to Dir afterwards; later Sync calls fail with ErrClosed.
 func (r *Replica) Close() error {
-	r.closed.Store(true)
+	r.mu.Lock()
+	r.closed = true
+	conns := make([]net.Conn, 0, len(r.conns))
+	for conn := range r.conns {
+		conns = append(conns, conn)
+	}
+	r.mu.Unlock()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	r.syncs.Wait()
 	return nil
 }
 
-// Snapshot returns an immutable view of the replica, the same View type a
-// primary's Snapshot returns — a serve tier accepts either.
-func (r *Replica) Snapshot() *View {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.viewOK {
-		return r.view
-	}
-	segs := append([]*segment(nil), r.segs...)
-	sets, vendors, byEngine := r.der.aidx.materialize()
-	stats := r.stats
-	if !r.statsOK {
-		// No commit shipped yet: serve locally derived counts so the
-		// endpoints are coherent, even though live-primary counters
-		// (flushes, memtable) are unknowable here.
-		segSamples := 0
-		for _, g := range segs {
-			segSamples += g.length()
-		}
-		stats = Stats{
-			Campaigns:         r.campaign,
-			Ingested:          r.der.ingested,
-			Segments:          len(segs),
-			SegmentSamples:    segSamples,
-			TrackedIPs:        len(r.der.known),
-			CurrentResponsive: len(r.der.cur),
-			Devices:           len(r.der.engines),
-			AliasSets:         r.der.aidx.setCount(),
-			Vendors:           r.der.aidx.vendorCount(),
-		}
-	}
-	v := &View{
-		segs:      segs,
-		campaigns: r.campaign,
-		sets:      sets,
-		vendors:   vendors,
-		byEngine:  byEngine,
-		stats:     stats,
-	}
-	r.view, r.viewOK = v, true
-	return v
-}
+// Snapshot returns the view the last applied commit published — the same
+// View type a primary's Snapshot returns, so a serve tier accepts either.
+func (r *Replica) Snapshot() *View { return r.pub.cur.Load() }
 
 // SyncLoop dials the primary and replicates until ctx is cancelled,
 // reconnecting with a backoff after any error — the long-running mode
@@ -249,6 +234,9 @@ func (r *Replica) SyncLoop(ctx context.Context, addr string) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		if errors.Is(err, ErrClosed) {
+			return err
+		}
 		_ = err // transient: reconnect
 		select {
 		case <-ctx.Done():
@@ -262,11 +250,28 @@ func (r *Replica) SyncLoop(ctx context.Context, addr string) error {
 }
 
 // Sync replicates over one established connection until the stream ends,
-// ctx is cancelled or the replica is closed. Taking the conn rather than an
-// address makes fault injection trivial: tests hand in one half of a pipe
-// or a conn they sever mid-ship.
-func (r *Replica) Sync(ctx context.Context, conn net.Conn) error {
+// ctx is cancelled or the replica is closed (ErrClosed). Taking the conn
+// rather than an address makes fault injection trivial: tests hand in one
+// half of a pipe or a conn they sever mid-ship.
+func (r *Replica) Sync(ctx context.Context, conn net.Conn) (err error) {
 	defer conn.Close()
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return ErrClosed
+	}
+	r.conns[conn] = struct{}{}
+	r.syncs.Add(1)
+	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		delete(r.conns, conn)
+		if r.closed {
+			err = ErrClosed // Close severed the connection
+		}
+		r.mu.Unlock()
+		r.syncs.Done()
+	}()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -288,7 +293,7 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) error {
 	r.mu.Unlock()
 	body := replFramePool.Get()[:0]
 	body = appendReplHello(body, hello)
-	err := writeReplFrame(conn, replFrameHello, body)
+	err = writeReplFrame(conn, replFrameHello, body)
 	replFramePool.Put(body)
 	if err != nil {
 		return err
@@ -299,9 +304,6 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) error {
 	var incoming *replSeg
 	var incomingBuf []byte
 	for {
-		if r.closed.Load() {
-			return nil
-		}
 		typ, body, err := readReplFrame(conn)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -431,15 +433,13 @@ func (r *Replica) applyCommit(c replCommit) error {
 	}
 	var drop []string
 	r.mu.Lock()
-	r.segs = segs
 	byName := make(map[string]*segment, len(segs))
 	for i, name := range man.Segments {
 		byName[name] = segs[i]
 	}
 	r.byName = byName
-	r.der = der
-	r.campaign = der.campaign
-	r.stats, r.statsOK = stats, true
+	r.pub.alias = nil // der.aidx is this commit's own index
+	r.pub.publish(segs, der.campaign, stats, der.aidx)
 	r.applied = man.Seq
 	for name := range r.held {
 		if !live[name] {
@@ -447,7 +447,6 @@ func (r *Replica) applyCommit(c replCommit) error {
 			drop = append(drop, name)
 		}
 	}
-	r.view, r.viewOK = nil, false
 	r.mu.Unlock()
 	r.appliedSeq.Store(man.Seq)
 	r.commits.Add(1)

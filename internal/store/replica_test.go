@@ -24,7 +24,8 @@ func startRepl(t *testing.T, s *Store) string {
 	return ln.Addr().String()
 }
 
-// syncReplica dials addr and runs r.Sync until the test ends.
+// syncReplica dials addr and runs r.Sync until the test ends; the cleanup
+// joins it, so it is not still writing into a TempDir being removed.
 func syncReplica(t *testing.T, r *Replica, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -32,8 +33,15 @@ func syncReplica(t *testing.T, r *Replica, addr string) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go func() { _ = r.Sync(ctx, conn) }()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = r.Sync(ctx, conn)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
 }
 
 // waitCaughtUp polls until the replica's view version matches the

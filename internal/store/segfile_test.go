@@ -1,10 +1,12 @@
 package store
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"snmpv3fp/internal/lru"
 )
@@ -183,5 +185,45 @@ func TestSegmentV3CorruptionDetection(t *testing.T) {
 	}
 	if _, err := openSegment(dir, "000001.seg", nil, false); err == nil {
 		t.Fatal("lazy open missed tail-block corruption")
+	}
+}
+
+// TestMergeSegmentsFileDigest pins the bytes of a merged segment file: an
+// eager and a lazy input, a third that supersedes a hundred of their samples,
+// non-SNMP evidence riding along. Compaction may change how it gathers and
+// sorts; what it writes may not.
+func TestMergeSegmentsFileDigest(t *testing.T) {
+	var newer []Sample
+	for i := 0; i < 100; i++ {
+		o := mkObs(fmt.Sprintf("10.5.%d.%d", i/200, i%200), engID(9, 7, 7, 7, 7), 3, int64(5000+i), t0.Add(time.Hour))
+		newer = append(newer, sampleFrom(o, uint64(1+i%2), uint64(1000+i)))
+	}
+	inputs := []*segment{
+		buildTestSegment(300),
+		writeAndOpen(t, buildTestSegment(450), true, false, nil),
+		buildSegment(newer),
+	}
+	merged, dropped, err := mergeSegments(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 301 of the lazy input's samples repeat the eager input's verbatim.
+	if dropped != 401 || merged.length() != 451 {
+		t.Fatalf("merge kept %d and dropped %d, want 451 and 401", merged.length(), dropped)
+	}
+	if got := merged.ipSamples(newer[0].IP); len(got) != 1 || got[0].Seq != 1000 {
+		t.Fatalf("superseded sample survived: %+v", got)
+	}
+	dir := t.TempDir()
+	if err := (&disk{dir: dir}).writeSegmentFile("000009.seg", merged, true); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "000009.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "706ce7c27eae82c18b8c0ae0890e474a92e2b05bbd788960d9a78bd3014e759a"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("merged segment file digest %s, want %s", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -470,11 +469,6 @@ func buildSegment(samples []Sample) *segment {
 	return g
 }
 
-// mergeScratch recycles the transient gather-and-sort buffer mergeSegments
-// needs. A pool rather than a bare field because explicit Compact calls may
-// race the background compactor; each merge checks out its own scratch.
-var mergeScratch = sync.Pool{New: func() any { return new([]Sample) }}
-
 // mergeSegments folds several segments (oldest first) into one, dropping
 // superseded samples: for each (IP, campaign, protocol) only the highest-Seq
 // sample survives. Returns the merged segment and how many samples were
@@ -485,15 +479,11 @@ func mergeSegments(segs []*segment) (*segment, int, error) {
 	for _, g := range segs {
 		total += g.length()
 	}
-	scratch := mergeScratch.Get().(*[]Sample)
-	if cap(*scratch) < total {
-		*scratch = make([]Sample, 0, total)
-	}
-	all := (*scratch)[:0]
+	// One buffer, gathered, deduplicated in place and handed to the merged
+	// segment: a whole-store merge is the largest transient the store has.
+	all := make([]Sample, 0, total)
 	for _, g := range segs {
 		if err := g.scan(func(sm *Sample) { all = append(all, *sm) }); err != nil {
-			*scratch = all[:0]
-			mergeScratch.Put(scratch)
 			return nil, 0, err
 		}
 	}
@@ -510,14 +500,8 @@ func mergeSegments(segs []*segment) (*segment, int, error) {
 		}
 		kept = append(kept, all[i])
 	}
-	dropped := total - len(kept)
-	// The survivors must be copied out: the scratch goes back to the pool,
-	// while the segment's sample slice lives as long as the segment.
-	out := make([]Sample, len(kept))
-	copy(out, kept)
-	*scratch = all[:0]
-	mergeScratch.Put(scratch)
-	return buildSegment(out), dropped, nil
+	clear(all[len(kept):]) // the dropped tail must not pin engine IDs
+	return buildSegment(kept), total - len(kept), nil
 }
 
 // memtable is the mutable ingest buffer: an append-only sample log frozen

@@ -7,9 +7,10 @@
 // segments at campaign boundaries (and when it outgrows its threshold); a
 // background compactor merges segments and discards superseded samples.
 // Each segment carries a per-IP and a per-engine-ID index. Readers obtain a
-// View — an immutable snapshot of segments, alias sets and tallies — so
-// queries never block ingest and never observe a half-applied campaign
-// ingest step.
+// View — an immutable snapshot of segments, alias sets and tallies — by
+// loading a pointer the writer publishes, so queries never block ingest or
+// wait for it, and a campaign becomes visible when Ingest returns: samples,
+// alias sets and stats in one step, never half-applied (DESIGN.md §9).
 //
 // With Options.Dir set the store is durable and crash-safe: every Add is
 // appended to a checksummed write-ahead log and fsynced before it is
@@ -104,7 +105,7 @@ func (o *Options) fill() {
 // Stats is a point-in-time summary of the store.
 type Stats struct {
 	// Version increments on every mutation; snapshots taken later never
-	// carry a smaller version.
+	// carry a smaller version. Publishing a view is not a mutation.
 	Version uint64 `json:"version"`
 	// Campaigns is how many campaigns have been begun.
 	Campaigns uint64 `json:"campaigns"`
@@ -197,8 +198,11 @@ type Store struct {
 	// replication subscribers; nil for in-memory stores.
 	repl *replPub
 
-	view      *View
-	viewValid bool
+	// pub is what Snapshot serves. ingesting counts Ingest calls in flight:
+	// while it is non-zero mutations leave the published view alone, and
+	// each Ingest publishes as it returns.
+	pub       viewPub
+	ingesting int
 
 	compactCh chan struct{}
 	done      chan struct{}
@@ -653,6 +657,7 @@ func (s *Store) BeginCampaign() (uint64, error) {
 	s.prev = s.cur
 	s.cur = map[netip.Addr]*core.Observation{}
 	s.aidx.reset([2]uint64{s.campaign - 1, s.campaign})
+	s.pub.alias = nil
 	if s.d != nil {
 		s.walBuf = appendWALBegin(s.walBuf, s.campaign)
 	}
@@ -725,6 +730,7 @@ func (s *Store) addLocked(o *core.Observation) {
 	}
 	s.cur[o.IP] = o
 	s.aidx.update(o.IP, s.prev[o.IP], o)
+	s.pub.alias = nil
 	s.mutateLocked()
 }
 
@@ -799,9 +805,25 @@ const ingestCheckEvery = 256
 // samples already added remain in the store as a partial campaign (queries
 // observe them, and the next campaign ingest supersedes the pair state as
 // usual). Returns the campaign sequence number.
+//
+// A campaign becomes visible when Ingest returns: until then Snapshot keeps
+// serving the pre-campaign view, and every return path — cancellation and
+// errors included — publishes what was added, in one step.
 func (s *Store) Ingest(ctx context.Context, c *core.Campaign) (uint64, error) {
 	span := s.tracer.Start("store.ingest")
 	defer span.End()
+	s.mu.Lock()
+	if s.pub.cur.Load() == nil {
+		s.publishLocked() // the pre-campaign view readers keep meanwhile
+	}
+	s.ingesting++
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.ingesting--
+		s.publishLocked()
+		s.mu.Unlock()
+	}()
 	n, err := s.BeginCampaign()
 	if err != nil {
 		return n, err
@@ -865,12 +887,13 @@ func (s *Store) Flush() error {
 	return s.flushPending()
 }
 
-// mutateLocked marks store state changed: bumps the version and drops the
-// cached view.
+// mutateLocked marks store state changed: bumps the version and, outside an
+// Ingest, withdraws the published view so the next Snapshot rebuilds.
 func (s *Store) mutateLocked() {
 	s.version++
-	s.viewValid = false
-	s.view = nil
+	if s.ingesting == 0 {
+		s.pub.cur.Store(nil)
+	}
 }
 
 // manifestLocked renders the manifest for the current installed state.
@@ -1073,16 +1096,26 @@ func (s *Store) compactIfNeeded(minSegs int) error {
 	return nil
 }
 
-// Snapshot returns an immutable view of the store. Views are cached: until
-// the next mutation, every caller shares one view, and building it costs
-// one memtable freeze plus one alias-set materialization. View methods
-// never take the store lock, so queries never block ingest.
+// Snapshot returns the published view: one pointer load, no store lock, so
+// readers neither block ingest nor wait for it. A campaign becomes visible
+// when Ingest returns; Add, BeginCampaign, IngestEvidence, flushes and
+// compactions outside an Ingest withdraw the view instead, and only then
+// does Snapshot take the lock and rebuild (so Add keeps read-your-writes).
 func (s *Store) Snapshot() *View {
+	if v := s.pub.cur.Load(); v != nil {
+		return v
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.viewValid {
-		return s.view
+	if v := s.pub.cur.Load(); v != nil {
+		return v
 	}
+	return s.publishLocked()
+}
+
+// publishLocked builds a view of the current state — one memtable freeze,
+// plus one alias-set materialization if the index moved — and publishes it.
+func (s *Store) publishLocked() *View {
 	segs := make([]*segment, 0, len(s.segs)+len(s.frozen)+1)
 	segs = append(segs, s.segs...)
 	for _, f := range s.frozen {
@@ -1094,18 +1127,7 @@ func (s *Store) Snapshot() *View {
 	if s.mem.len() > 0 {
 		segs = append(segs, s.mem.freeze())
 	}
-	sets, vendors, byEngine := s.aidx.materialize()
-	v := &View{
-		segs:      segs,
-		campaigns: s.campaign,
-		sets:      sets,
-		vendors:   vendors,
-		byEngine:  byEngine,
-		stats:     s.statsLocked(),
-	}
-	s.view = v
-	s.viewValid = true
-	return v
+	return s.pub.publish(segs, s.campaign, s.statsLocked(), s.aidx)
 }
 
 // statsLocked renders the point-in-time Stats under s.mu. Shared by

@@ -1,23 +1,55 @@
 package store
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"snmpv3fp/internal/tracker"
 )
 
 // View is an immutable snapshot of the store: a fixed segment list (the
 // memtable frozen in), the materialized alias sets and vendor tallies, and
-// the stats at snapshot time. All methods are lock-free and safe for
-// concurrent use; a view never changes after Snapshot returns it.
+// the stats at publication time. All methods are lock-free and safe for
+// concurrent use; a view never changes once published.
 type View struct {
 	segs      []*segment
 	campaigns uint64
-	sets      []AliasSet
-	vendors   []VendorCount
-	byEngine  map[string][]int
-	stats     Stats
+	*aliasView
+	stats Stats
+}
+
+// aliasView is an alias index materialized for readers; views built while
+// the index did not change share one.
+type aliasView struct {
+	sets     []AliasSet
+	vendors  []VendorCount
+	byEngine map[string][]int
+}
+
+// viewPub is the one way a View reaches readers, for Store and Replica
+// alike: the owner publishes under its own mutex at a commit point, readers
+// load the pointer and never take that mutex. A Store also withdraws the
+// view (nil) where rebuilding per mutation would be waste; its Snapshot then
+// publishes on demand.
+type viewPub struct {
+	cur atomic.Pointer[View]
+	// alias renders the owner's alias index; the owner sets it nil when the
+	// index moves. It outlives a withdrawn view, so a flush or compaction
+	// install does not render the sets again. Owner's mutex.
+	alias *aliasView
+}
+
+// publish makes the given state the current view.
+func (p *viewPub) publish(segs []*segment, campaigns uint64, stats Stats, ai *aliasIndex) *View {
+	if p.alias == nil {
+		p.alias = ai.materialize()
+	}
+	v := &View{segs: segs, campaigns: campaigns, aliasView: p.alias, stats: stats}
+	p.cur.Store(v)
+	return v
 }
 
 // Stats returns the snapshot-time counters.
@@ -53,11 +85,8 @@ func (v *View) HistoryProtocol(addr netip.Addr, protocol string) []Sample {
 	if len(out) == 0 {
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Campaign != out[j].Campaign {
-			return out[i].Campaign < out[j].Campaign
-		}
-		return out[i].Seq < out[j].Seq
+	slices.SortFunc(out, func(a, b Sample) int {
+		return cmp.Or(cmp.Compare(a.Campaign, b.Campaign), cmp.Compare(a.Seq, b.Seq))
 	})
 	kept := out[:0]
 	for i := range out {

@@ -223,7 +223,9 @@ func TestHeartbeatTimeoutReLease(t *testing.T) {
 		if err != nil {
 			return
 		}
-		RunNode(ctx, conn, NodeConfig{Name: "healthy", HeartbeatEvery: 100 * time.Millisecond})
+		// Heartbeats go out only while a lease runs, and a lease of this
+		// campaign runs for well under 100 ms on a fast machine.
+		RunNode(ctx, conn, NodeConfig{Name: "healthy", HeartbeatEvery: 2 * time.Millisecond})
 	}()
 	out, err := coord.Wait(ctx)
 	if err != nil {
