@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-json bench-serve-json smoke-serve metrics-smoke durability-smoke dist-smoke replica-smoke reproduce examples ci fuzz-smoke clean
+.PHONY: all build vet test test-short race bench benchmark benchmark-smoke smoke-serve metrics-smoke durability-smoke dist-smoke replica-smoke reproduce examples ci fuzz-smoke clean
 
 all: build vet test
 
@@ -23,7 +23,10 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# What CI runs (see .github/workflows/ci.yml).
+# What CI runs (see .github/workflows/ci.yml). Wall-clock budget on a
+# 2-core x86-64 machine: benchmark-smoke runs all five workloads in about
+# 110 s (the two bench steps it replaced took 2 s and 13 s), each fuzz
+# target 10 s, and the race suite several minutes.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -35,8 +38,7 @@ ci:
 	$(MAKE) durability-smoke
 	$(MAKE) dist-smoke
 	$(MAKE) replica-smoke
-	$(MAKE) bench-smoke
-	$(MAKE) bench-gate
+	$(MAKE) benchmark-smoke
 
 # 10 seconds of native fuzzing per target. go test accepts one -fuzz target
 # per invocation, so loop over every FuzzXxx the fuzzing packages list.
@@ -48,34 +50,22 @@ fuzz-smoke:
 		done; \
 	done
 
-# Every paper table/figure as benchmarks, plus the ablations.
+# The four design-choice ablations over the shared full-scale campaigns
+# (the paper's tables and figures are `make reproduce`).
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -run '^$$' -bench Ablation -benchmem .
 
-# One cheap iteration of every continuous benchmark plus the allocation
-# regression tests — the CI tripwire that the hot paths stayed hot. Full
-# numbers come from bench-json.
-bench-smoke:
-	$(GO) test ./bench -run 'Alloc' -bench=. -benchtime=1x -benchmem
+# The pipeline benchmark (benchmark/README.md): every workload, end-to-end
+# metrics and the per-layer ledger, written to benchmark/out/results.json.
+# Compare two trees' results with `go run ./benchmark -compare A B`.
+benchmark:
+	$(GO) run ./benchmark
 
-# Scan-campaign regression gate: re-measure ScanCampaign and fail when it
-# lands more than 15% above the checked-in BENCH_scan.json baseline. The
-# headroom absorbs runner noise; a hot-path regression trips it immediately.
-bench-gate:
-	$(GO) run ./cmd/benchjson -gate 1.15
-
-# Refresh the committed benchmark baselines: runs the continuous suite at
-# full benchtime and rewrites BENCH_scan.json / BENCH_store.json /
-# BENCH_serve.json at the repo root. Manual-only (numbers from loaded CI
-# runners are not baselines); run on a quiet machine before committing.
-bench-json:
-	$(GO) run ./cmd/benchjson
-
-# Store+serve latency benchmark (p50/p99 per endpoint) as one-off JSON;
-# complements the allocation-centric bench-json suite.
-bench-serve-json:
-	$(GO) run ./cmd/snmpfpd -bench-json BENCH_serve_latency.json
-	@cat BENCH_serve_latency.json
+# One short run of every workload: the CI check that the whole pipeline
+# still builds, runs and emits every declared metric with no failed
+# operations. Its numbers are not a baseline.
+benchmark-smoke:
+	$(GO) run ./benchmark -runs 1 -seconds 2 -dir $$(mktemp -d)
 
 # End-to-end daemon smoke: ingest a simulated world, self-query /v1/stats,
 # /v1/vendors and /v1/metrics over HTTP.

@@ -16,10 +16,6 @@
 //
 //	snmpfpd -sim -smoke
 //
-// Store+serve benchmark (used by `make bench-json`):
-//
-//	snmpfpd -bench-json BENCH_store.json
-//
 // Endpoints: /v1/ip/{addr}, /v1/device/{engineID}, /v1/vendors,
 // /v1/reboots/{addr}, /v1/fusion, /v1/stats, /v1/metrics; plus
 // /debug/pprof/ with -pprof.
@@ -35,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -74,13 +69,8 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary at this replication address: no ingest, serves the shipped state (requires -data-dir)")
 	smoke := flag.Bool("smoke", false, "ingest, self-query /v1/stats, /v1/vendors and /v1/metrics, print, exit")
 	pprofFlag := flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/")
-	benchJSON := flag.String("bench-json", "", "run the store+serve benchmark, write JSON to this file, exit")
 	flag.Parse()
 
-	if *benchJSON != "" {
-		runBenchJSON(*benchJSON)
-		return
-	}
 	if *replicaOf != "" {
 		if *dataDir == "" {
 			fmt.Fprintln(os.Stderr, "snmpfpd: -replica-of requires -data-dir")
@@ -98,7 +88,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *ingest == "" && !*sim {
-		fmt.Fprintln(os.Stderr, "snmpfpd: need -ingest, -sim, -replica-of or -bench-json")
+		fmt.Fprintln(os.Stderr, "snmpfpd: need -ingest, -sim or -replica-of")
 		os.Exit(2)
 	}
 
@@ -350,23 +340,6 @@ func runSim(ctx context.Context, st *store.Store, reg *obs.Registry, simSeed int
 		}
 	}
 	return nil
-}
-
-func runBenchJSON(path string) {
-	res, err := serve.RunBench(serve.BenchConfig{})
-	if err != nil {
-		fatal(err)
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "snmpfpd: wrote %s (ingest %.0f samples/s, ip p99 %.0fµs)\n",
-		path, res.Ingest.SamplesPerSec, res.Query["ip"].P99Us)
 }
 
 func httpGet(url string) ([]byte, error) {

@@ -1,6 +1,7 @@
 package snmpv3fp_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 	"snmpv3fp/internal/usm"
 )
 
-// ExampleProbe shows the paper's one-packet measurement primitive against a
-// live agent: no credentials, yet the engine identifiers come back.
-func ExampleProbe() {
+// ExampleProbeContext shows the paper's one-packet measurement primitive
+// against a live agent: no credentials, yet the engine identifiers come
+// back.
+func ExampleProbeContext() {
 	agent, err := labsim.Start(labsim.Config{
 		OS:        labsim.CiscoIOS,
 		Community: "pass123", // v2c community implicitly enables v3 discovery
@@ -33,7 +35,7 @@ func ExampleProbe() {
 	}
 	defer tr.Close()
 
-	obs, err := snmpv3fp.Probe(tr, agent.Addr().Addr(), 2*time.Second)
+	obs, err := snmpv3fp.ProbeContext(context.Background(), tr, agent.Addr().Addr(), 1, 2*time.Second)
 	if err != nil {
 		fmt.Println(err)
 		return

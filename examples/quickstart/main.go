@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -41,7 +42,7 @@ func main() {
 	}
 	defer tr.Close()
 
-	obs, err := snmpv3fp.Probe(tr, agent.Addr().Addr(), 2*time.Second)
+	obs, err := snmpv3fp.ProbeContext(context.Background(), tr, agent.Addr().Addr(), 1, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

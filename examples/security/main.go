@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -47,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer tr.Close()
-	obs, err := snmpv3fp.Probe(tr, agent.Addr().Addr(), 2*time.Second)
+	obs, err := snmpv3fp.ProbeContext(context.Background(), tr, agent.Addr().Addr(), 1, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

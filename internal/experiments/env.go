@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -159,7 +160,7 @@ func runList(w *netsim.World, addrs []netip.Addr, rate int, seed int64, opts Opt
 func runScan(w *netsim.World, targets scanner.TargetSpace, rate int, seed int64, opts Options) (*core.Campaign, error) {
 	w.BeginScan()
 	tr := w.NewTransport()
-	res, err := scanner.Scan(tr, targets, scanner.Config{
+	res, err := scanner.ScanContext(context.Background(), tr, targets, scanner.Config{
 		Rate:    rate,
 		Batch:   256,
 		Timeout: 8 * time.Second,

@@ -2,8 +2,7 @@ package experiments
 
 // Experiment is one reproducible paper artifact.
 type Experiment struct {
-	// ID is the short handle used by cmd/reproduce (-only flag) and the
-	// bench harness.
+	// ID is the short handle cmd/reproduce's -only flag selects.
 	ID string
 	// Title names the paper artifact.
 	Title string

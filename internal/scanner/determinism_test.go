@@ -1,6 +1,7 @@
 package scanner_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func runSimCampaign(t *testing.T, workers, retries int, faults *netsim.FaultProf
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scanner.Scan(w.NewTransport(), targets, scanner.Config{
+	res, err := scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 		Rate: 5000, Batch: 256, Timeout: 8 * time.Second,
 		Clock: w.Clock, Seed: 42, Workers: workers, Retries: retries,
 	})

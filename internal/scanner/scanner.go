@@ -181,14 +181,6 @@ type Result struct {
 	Finished  time.Time
 }
 
-// Scan runs one campaign with a background context.
-//
-// Deprecated: use [ScanContext], which runs the same module-aware engine
-// path and supports mid-campaign cancellation.
-func Scan(tr Transport, targets TargetSpace, cfg Config) (*Result, error) {
-	return ScanContext(context.Background(), tr, targets, cfg)
-}
-
 // ProbeSpec is the probe a campaign sends: one stateless payload for every
 // target (as in ZMap, per-target state would defeat the point) plus the
 // identity value well-behaved agents echo back. Probe modules

@@ -35,7 +35,7 @@ func TestResultCacheInvalidation(t *testing.T) {
 
 	// Ingest a third campaign touching the same IP; the next GET must see it.
 	idB := engID(2636, 0x11, 0x22, 0x33, 0x44)
-	st.AddCampaign(mkCampaign(mkObs("192.0.2.3", idB, 6, 100+86400, t0.Add(48*time.Hour))))
+	mustIngest(t, st, mkCampaign(mkObs("192.0.2.3", idB, 6, 100+86400, t0.Add(48*time.Hour))))
 	third := get(t, ts, "/v1/ip/192.0.2.3", 200, nil)
 	if bytes.Equal(second, third) {
 		t.Fatalf("GET after ingest served stale cached bytes: %s", third)
@@ -122,7 +122,7 @@ func TestReplicaSmoke(t *testing.T) {
 	defer prim.Close()
 	day := 24 * time.Hour
 	for n := 0; n < 3; n++ {
-		prim.AddCampaign(mkCampaign(
+		mustIngest(t, prim, mkCampaign(
 			mkObs("192.0.2.1", idA, 2, 1000+86400*int64(n), t0.Add(time.Duration(n)*day)),
 			mkObs("192.0.2.2", idA, 2, 1000+86400*int64(n), t0.Add(time.Duration(n)*day)),
 			mkObs("192.0.2.3", idB, 5+int64(n), 500, t0.Add(time.Duration(n)*day)),

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -47,6 +48,16 @@ func mkCampaign(obs ...*core.Observation) *core.Campaign {
 	return c
 }
 
+// mustIngest ingests each campaign in turn, failing the test on error.
+func mustIngest(t testing.TB, st *store.Store, cs ...*core.Campaign) {
+	t.Helper()
+	for _, c := range cs {
+		if _, err := st.Ingest(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // seedStore ingests two small campaigns: one two-IP device, one singleton.
 func seedStore(t *testing.T) (*store.Store, *core.Campaign, *core.Campaign) {
 	t.Helper()
@@ -68,8 +79,7 @@ func seedStore(t *testing.T) (*store.Store, *core.Campaign, *core.Campaign) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	st.AddCampaign(c1)
-	st.AddCampaign(c2)
+	mustIngest(t, st, c1, c2)
 	return st, c1, c2
 }
 
@@ -340,25 +350,6 @@ func TestVendorsAndAliasesMatchBatchOverHTTP(t *testing.T) {
 		if string(gotJSON) != string(wantJSON) {
 			t.Fatalf("set %s diverges:\n got %s\nwant %s", want.EngineID, gotJSON, wantJSON)
 		}
-	}
-}
-
-func TestRunBench(t *testing.T) {
-	res, err := RunBench(BenchConfig{Campaigns: 2, IPs: 40, Queries: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ingest.Samples != 80 || res.Ingest.SamplesPerSec <= 0 {
-		t.Fatalf("ingest: %+v", res.Ingest)
-	}
-	for _, ep := range []string{"ip", "device", "vendors", "reboots", "stats"} {
-		lat, ok := res.Query[ep]
-		if !ok || lat.Requests != 25 || lat.P99Us < lat.P50Us {
-			t.Fatalf("endpoint %s: %+v (ok=%v)", ep, lat, ok)
-		}
-	}
-	if res.Stats.Ingested != 80 || res.Stats.Campaigns != 2 {
-		t.Fatalf("stats: %+v", res.Stats)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestViewCachedUnderItsOwnVersion(t *testing.T) {
 	st, _, _ := seedStore(t)
 	old := st.Snapshot()
 	idB := engID(2636, 0x11, 0x22, 0x33, 0x44)
-	st.AddCampaign(mkCampaign(mkObs("192.0.2.3", idB, 6, 100+86400, t0.Add(48*time.Hour))))
+	mustIngest(t, st, mkCampaign(mkObs("192.0.2.3", idB, 6, 100+86400, t0.Add(48*time.Hour))))
 	moved := st.Snapshot()
 	if old.Stats().Version == moved.Stats().Version {
 		t.Fatal("ingest did not move the version")

@@ -110,7 +110,8 @@ func decodeAddr(b []byte) (netip.Addr, int, error) {
 
 // encodeSegment renders the four blocks and footer for g (which must be
 // eager — freshly built or merged). withBloom controls whether the filter
-// block carries a real filter (Options.DisableBloom writes an empty one).
+// block carries a real filter; the store always passes true, and tests
+// write an empty one to measure the filter's effect.
 func encodeSegment(g *segment, withBloom bool) []byte {
 	type group struct {
 		ip    netip.Addr

@@ -72,9 +72,6 @@ type Options struct {
 	// every segment (the pre-v3 behavior). Off by default: v3 segments
 	// open lazily, verifying only their footer, index and bloom blocks.
 	VerifyOnOpen bool
-	// DisableBloom writes segments without a bloom filter block. Used by
-	// benches to measure the filter's effect; the files stay readable.
-	DisableBloom bool
 	// BlockCacheBytes bounds the decoded-block cache shared by the
 	// store's lazy segments: 0 means the 16 MiB default, negative
 	// disables caching. In-memory stores have no block cache.
@@ -552,8 +549,10 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 
 // SegBytesRead reports how many segment bytes point lookups have touched —
 // index entries probed plus sample bytes decoded; bloom-filter rejections
-// and block-cache hits count zero. Benches use the delta per operation to
-// prove the bloom filters' effect. Always zero for in-memory stores.
+// and block-cache hits count zero. The same counter backs
+// snmpfp_store_seg_query_bytes_total, which ./benchmark reports per query
+// as store.seg_bytes_per_query; TestSegmentBloomScreensNegatives pins the
+// bloom filters' effect on it. Always zero for in-memory stores.
 func (s *Store) SegBytesRead() uint64 {
 	if s.segStat == nil {
 		return 0
@@ -783,16 +782,6 @@ func (s *Store) freezeLocked() error {
 	return nil
 }
 
-// AddCampaign begins a new campaign and ingests every observation of c in
-// address order (deterministic segment contents). Returns the campaign
-// sequence number.
-//
-// Deprecated: use [Store.Ingest], which supports cancellation mid-campaign.
-func (s *Store) AddCampaign(c *core.Campaign) uint64 {
-	n, _ := s.Ingest(context.Background(), c)
-	return n
-}
-
 // ingestCheckEvery is how many samples Ingest adds between context checks.
 const ingestCheckEvery = 256
 
@@ -938,7 +927,7 @@ func (s *Store) flushPending() error {
 		}
 		if s.d != nil {
 			name := fileName(s.d.nextFile.Add(1), ".seg")
-			if err := s.d.writeSegmentFile(name, seg, !s.opt.DisableBloom); err != nil {
+			if err := s.d.writeSegmentFile(name, seg, true); err != nil {
 				span.End()
 				return s.fail(err)
 			}
@@ -1040,7 +1029,7 @@ func (s *Store) compactIfNeeded(minSegs int) error {
 
 	if s.d != nil {
 		name := fileName(s.d.nextFile.Add(1), ".seg")
-		if err := s.d.writeSegmentFile(name, merged, !s.opt.DisableBloom); err != nil {
+		if err := s.d.writeSegmentFile(name, merged, true); err != nil {
 			return s.fail(err)
 		}
 		lzg, err := openSegment(s.d.dir, name, s.segStat, false)

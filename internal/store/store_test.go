@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -27,6 +28,16 @@ func mustOpen(t *testing.T, opt Options) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// mustIngest ingests each campaign in turn, failing the test on error.
+func mustIngest(t testing.TB, s *Store, cs ...*core.Campaign) {
+	t.Helper()
+	for _, c := range cs {
+		if _, err := s.Ingest(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // engID builds a conformant octets-format engine ID under the enterprise.
@@ -195,8 +206,7 @@ func TestIncrementalAliasMatchesBatchSynthetic(t *testing.T) {
 
 	s := mustOpen(t, Options{FlushThreshold: 3})
 	defer s.Close()
-	s.AddCampaign(c1)
-	s.AddCampaign(c2)
+	mustIngest(t, s, c1, c2)
 
 	v := s.Snapshot()
 	wantSets, wantVendors := batchSets(c1, c2)
@@ -233,7 +243,7 @@ func runSimCampaign(t testing.TB, w *netsim.World, day int, seed int64) *core.Ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scanner.Scan(w.NewTransport(), targets, scanner.Config{
+	res, err := scanner.ScanContext(context.Background(), w.NewTransport(), targets, scanner.Config{
 		Rate: 50000, Batch: 256, Clock: w.Clock, Seed: seed, Workers: 4,
 	})
 	if err != nil {
@@ -256,8 +266,7 @@ func TestIncrementalAliasMatchesBatchNetsim(t *testing.T) {
 
 	s := mustOpen(t, Options{FlushThreshold: 512})
 	defer s.Close()
-	s.AddCampaign(c1)
-	s.AddCampaign(c2)
+	mustIngest(t, s, c1, c2)
 	v := s.Snapshot()
 
 	wantSets, wantVendors := batchSets(c1, c2)
@@ -302,7 +311,7 @@ func TestTimelineFoldMatchesTrackerExtend(t *testing.T) {
 	defer s.Close()
 	timelines := map[netip.Addr]*tracker.Timeline{}
 	for _, c := range cs {
-		s.AddCampaign(c)
+		mustIngest(t, s, c)
 		tracker.Extend(timelines, c)
 	}
 	v := s.Snapshot()
