@@ -15,9 +15,12 @@ import (
 // sized runs and hands each run to the transport in one call. See
 // DESIGN.md §13.
 //
-// Batching is purely an execution strategy: a campaign over a batch-capable
-// transport produces a Result byte-identical to the same campaign over the
-// scalar API, at every batch size and worker count.
+// The engine drives only this API. A transport lacking some of it is
+// adapted once, at the engine's edge (batchOf), by forwarding what it does
+// implement and emulating the rest over the scalar calls. Batching is purely
+// an execution strategy: a campaign over a batch-capable transport produces
+// a Result byte-identical to the same campaign through the adapter, at every
+// batch size and worker count.
 
 // Datagram is one received datagram in a batch receive. It carries the same
 // fields Recv returns; the payload ownership contract is unchanged (release
@@ -65,6 +68,85 @@ type BatchReceiver interface {
 	Transport
 	// RecvBatch fills into with the next available datagrams.
 	RecvBatch(into []Datagram) (n int, err error)
+}
+
+// batchTransport is the one send/receive surface the engine drives.
+type batchTransport interface {
+	BatchSender
+	TimedBatchSender
+	BatchReceiver
+}
+
+// batchOf returns tr as a batchTransport: tr itself when it implements the
+// whole batch API, otherwise a scalarBatch holding whichever parts it does.
+func batchOf(tr Transport) batchTransport {
+	if bt, ok := tr.(batchTransport); ok {
+		return bt
+	}
+	s := &scalarBatch{Transport: tr}
+	s.send, _ = tr.(BatchSender)
+	s.sendAt, _ = tr.(TimedBatchSender)
+	s.recv, _ = tr.(BatchReceiver)
+	s.timed, _ = tr.(TimedTransport)
+	return s
+}
+
+// scalarBatch adapts a Transport to batchTransport. Each batch call goes to
+// the transport's own batch method when it has one; otherwise a send loops
+// the scalar call per destination and a receive delivers one datagram.
+type scalarBatch struct {
+	Transport
+	send   BatchSender
+	sendAt TimedBatchSender
+	recv   BatchReceiver
+	timed  TimedTransport
+}
+
+func (s *scalarBatch) SendBatch(dsts []netip.Addr, payload []byte) (int, error) {
+	if s.send != nil {
+		return s.send.SendBatch(dsts, payload)
+	}
+	return sendEach(len(dsts), func(i int) error { return s.Send(dsts[i], payload) })
+}
+
+// SendBatchAt is only called in logical mode, which the engine selects only
+// for a TimedTransport, so timed is set whenever sendAt is not.
+func (s *scalarBatch) SendBatchAt(dsts []netip.Addr, payload []byte, ats []time.Time) (int, error) {
+	if s.sendAt != nil {
+		return s.sendAt.SendBatchAt(dsts, payload, ats)
+	}
+	return sendEach(len(dsts), func(i int) error { return s.timed.SendAt(dsts[i], payload, ats[i]) })
+}
+
+func (s *scalarBatch) RecvBatch(into []Datagram) (int, error) {
+	if s.recv != nil {
+		return s.recv.RecvBatch(into)
+	}
+	return recvOne(s.Transport, into)
+}
+
+// sendEach performs n scalar sends in order, stopping at the first error,
+// so the caller sees the batch API's partial-progress contract.
+func sendEach(n int, send func(i int) error) (int, error) {
+	for i := 0; i < n; i++ {
+		if err := send(i); err != nil {
+			return i, err
+		}
+	}
+	return n, nil
+}
+
+// recvOne fills into[0] with one scalar Recv.
+func recvOne(tr Transport, into []Datagram) (int, error) {
+	if len(into) == 0 {
+		return 0, nil
+	}
+	src, payload, at, err := tr.Recv()
+	if err != nil {
+		return 0, err
+	}
+	into[0] = Datagram{Src: src, Payload: payload, At: at}
+	return 1, nil
 }
 
 // Transient send errno policy. At line rate sendmmsg/sendto routinely fail

@@ -23,19 +23,17 @@ type engine struct {
 	targets TargetSpace
 	probe   []byte
 
-	// timed / vclk / shardable / positioned / member / releaser cache the
-	// optional capability checks that select the pacing mode, response
-	// validation, and receive-buffer recycling; batcher / timedBatcher /
-	// recvBatcher select the vectorized send and receive paths.
-	timed        TimedTransport
-	batcher      BatchSender
-	timedBatcher TimedBatchSender
-	recvBatcher  BatchReceiver
-	vclk         *vclock.Virtual
-	shardable    ShardableSpace
-	member       MembershipSpace
-	releaser     PayloadReleaser
-	positioned   bool
+	// batch is tr as the batch API, the engine's one send/receive path:
+	// tr itself when it implements all of it, an adapter otherwise.
+	batch batchTransport
+	// vclk / shardable / positioned / member / releaser cache the optional
+	// capability checks that select the pacing mode, response validation,
+	// and receive-buffer recycling.
+	vclk       *vclock.Virtual
+	shardable  ShardableSpace
+	member     MembershipSpace
+	releaser   PayloadReleaser
+	positioned bool
 	// logical is true when probe send times are computed from permutation
 	// slots instead of pacing sleeps: virtual clock + timed transport +
 	// positioned space. In this mode workers run at full host speed and
@@ -101,16 +99,14 @@ func newEngine(tr Transport, targets TargetSpace, cfg Config, probe []byte) *eng
 		startClock: cfg.Clock.Now(),
 	}
 	e.drained = sync.NewCond(&e.mu)
-	e.timed, _ = tr.(TimedTransport)
-	e.batcher, _ = tr.(BatchSender)
-	e.timedBatcher, _ = tr.(TimedBatchSender)
-	e.recvBatcher, _ = tr.(BatchReceiver)
+	e.batch = batchOf(tr)
 	e.releaser, _ = tr.(PayloadReleaser)
 	e.vclk, _ = cfg.Clock.(*vclock.Virtual)
 	e.shardable, _ = targets.(ShardableSpace)
 	e.member, _ = targets.(MembershipSpace)
 	_, e.positioned = targets.(PositionedSpace)
-	e.logical = e.vclk != nil && e.timed != nil && e.positioned
+	_, timed := tr.(TimedTransport)
+	e.logical = e.vclk != nil && timed && e.positioned
 
 	e.workers = cfg.Workers
 	if e.shardable == nil {
@@ -232,12 +228,11 @@ func (e *engine) runPass(pass int, shards []TargetSpace, skip map[netip.Addr]str
 }
 
 // worker walks one shard, gathering targets into Config.Batch sized runs
-// and flushing each run through the transport in one operation when it
-// implements the batch API (a scalar per-probe loop otherwise). In logical
-// mode the probe timestamps are computed from the targets' permutation
-// slots; otherwise the worker paces itself against a deadline timeline on
-// the campaign clock, so per-sleep overshoot never accumulates into rate
-// sag (see paceBatch).
+// and flushing each run through the transport in one batch operation. In
+// logical mode the probe timestamps are computed from the targets'
+// permutation slots; otherwise the worker paces itself against a deadline
+// timeline on the campaign clock, so per-sleep overshoot never accumulates
+// into rate sag (see paceBatch).
 func (e *engine) worker(pass, shard int, space TargetSpace, skip map[netip.Addr]struct{}, passStart time.Time) {
 	defer e.shardDone[shard].Store(true)
 	e.metrics.inflight.Add(1)
@@ -361,48 +356,26 @@ func (e *engine) sendRun(shard, pass int, dsts []netip.Addr, ats []time.Time) bo
 	return true
 }
 
-// dispatchSend hands dsts to the transport over the widest API it offers,
-// returning how many leading destinations were sent. Scalar transports are
-// driven in a loop that stops at the first error, so the caller sees the
-// same partial-progress contract in every mode.
+// dispatchSend hands dsts to the transport in one batch operation,
+// returning how many leading destinations were sent.
 func (e *engine) dispatchSend(shard int, dsts []netip.Addr, ats []time.Time) (int, error) {
+	var (
+		n   int
+		err error
+		at  time.Time
+	)
 	if e.logical {
-		if e.timedBatcher != nil {
-			n, err := e.timedBatcher.SendBatchAt(dsts, e.probe, ats)
-			e.noteBatchOp(n)
-			e.noteRTTSends(shard, dsts[:n], ats[:n], time.Time{})
-			return n, err
-		}
-		for i, dst := range dsts {
-			if err := e.timed.SendAt(dst, e.probe, ats[i]); err != nil {
-				e.noteRTTSends(shard, dsts[:i], ats[:i], time.Time{})
-				return i, err
-			}
-		}
-		e.noteRTTSends(shard, dsts, ats, time.Time{})
-		return len(dsts), nil
-	}
-	if e.batcher != nil {
-		var at time.Time
+		n, err = e.batch.SendBatchAt(dsts, e.probe, ats)
+		ats = ats[:n]
+	} else {
 		if e.sendLog != nil {
 			at = e.cfg.Clock.Now()
 		}
-		n, err := e.batcher.SendBatch(dsts, e.probe)
-		e.noteBatchOp(n)
-		e.noteRTTSends(shard, dsts[:n], nil, at)
-		return n, err
+		n, err = e.batch.SendBatch(dsts, e.probe)
 	}
-	for i, dst := range dsts {
-		var at time.Time
-		if e.sendLog != nil {
-			at = e.cfg.Clock.Now()
-		}
-		if err := e.tr.Send(dst, e.probe); err != nil {
-			return i, err
-		}
-		e.noteRTTSend(shard, dst, at)
-	}
-	return len(dsts), nil
+	e.noteBatchOp(n)
+	e.noteRTTSends(shard, dsts[:n], ats, at)
+	return n, err
 }
 
 // paceBatch advances the worker's deadline timeline past a batch of n sent
@@ -471,84 +444,20 @@ func (e *engine) paceDuration(n int) time.Duration {
 	return time.Duration(sec)*time.Second + time.Duration(rem*uint64(time.Second)/rate)
 }
 
-// capture drains the transport until Close delivers io.EOF, recording every
-// response and maintaining the responder set for retry passes. When the
-// target space supports membership checks, datagrams from sources the
-// campaign never probed — spoofed or misrouted off-path junk — are counted
-// and discarded here, before they can pollute the result set or the retry
-// bookkeeping.
-func (e *engine) capture() {
-	defer e.captureWG.Done()
-	if e.recvBatcher != nil {
-		e.captureBatched()
-		return
-	}
-	for {
-		src, payload, at, err := e.tr.Recv()
-		if err != nil {
-			e.mu.Lock()
-			if !errors.Is(err, io.EOF) {
-				e.recvErr = err
-			}
-			e.captureDone = true
-			e.drained.Broadcast()
-			e.mu.Unlock()
-			return
-		}
-		if e.member != nil && !e.member.Contains(src) {
-			// Off-path junk is dropped without copying: the transport buffer
-			// goes straight back to the pool. Still consumed for the quiesce
-			// barrier — the transport queued it, so the drain accounting
-			// must see it.
-			if e.releaser != nil {
-				e.releaser.ReleasePayload(payload)
-			}
-			e.mu.Lock()
-			e.consumed++
-			e.drained.Broadcast()
-			e.mu.Unlock()
-			e.offPath.Add(1)
-			e.metrics.offPath.Inc()
-			continue
-		}
-		if e.releaser != nil {
-			// The payload lives in a transport buffer about to be reused:
-			// pack a copy into the arena (outside the lock) and release the
-			// buffer. Without a releasing transport the payload is already
-			// ours and is retained as-is.
-			retained := e.arena.copyOf(payload)
-			e.releaser.ReleasePayload(payload)
-			payload = retained
-		}
-		e.mu.Lock()
-		if len(e.respCur) == cap(e.respCur) {
-			if e.respCur != nil {
-				e.respChunks = append(e.respChunks, e.respCur)
-			}
-			e.respCur = make([]Response, 0, respChunkLen)
-		}
-		e.respCur = append(e.respCur, Response{Src: src, Payload: payload, At: at})
-		e.responders[src] = struct{}{}
-		e.consumed++
-		e.drained.Broadcast()
-		e.mu.Unlock()
-		e.received.Add(1)
-		e.metrics.received.Inc()
-	}
-}
-
 // captureRingLen sizes the capture goroutine's receive ring: large enough
 // to amortize the per-batch lock and wakeup over hundreds of datagrams,
 // small enough that the ring itself stays cache-resident.
 const captureRingLen = 256
 
-// captureBatched is capture over the transport's RecvBatch: one receive
-// operation, one arena pass, one lock acquisition and one drain wakeup per
-// batch of datagrams instead of per datagram.
-func (e *engine) captureBatched() {
+// capture drains the transport until Close delivers io.EOF, one RecvBatch
+// at a time: one receive operation, one arena pass, one lock acquisition
+// and one drain wakeup per batch of datagrams. consumeBatch records each
+// batch and maintains the responder set for retry passes.
+func (e *engine) capture() {
+	defer e.captureWG.Done()
 	ring := make([]Datagram, captureRingLen)
 	for {
-		n, err := e.recvBatcher.RecvBatch(ring)
+		n, err := e.batch.RecvBatch(ring)
 		if n > 0 {
 			e.consumeBatch(ring[:n])
 			// Clear consumed slots so the ring does not pin released
@@ -570,10 +479,14 @@ func (e *engine) captureBatched() {
 	}
 }
 
-// consumeBatch records one batch of received datagrams: off-path rejection
-// and arena retention run outside the lock (compacting the keepers in
-// place), then a single locked section appends every keeper, maintains the
-// responder set, and advances the drain accounting once for the whole batch.
+// consumeBatch records one batch of received datagrams. When the target
+// space supports membership checks, datagrams from sources the campaign
+// never probed — spoofed or misrouted off-path junk — are counted and
+// released without copying, before they can pollute the result set or the
+// retry bookkeeping. Off-path rejection and arena retention run outside the
+// lock (compacting the keepers in place), then a single locked section
+// appends every keeper, maintains the responder set, and advances the drain
+// accounting once for the whole batch.
 func (e *engine) consumeBatch(ds []Datagram) {
 	var rejected uint64
 	kept := 0

@@ -79,14 +79,6 @@ type sendRec struct {
 	at   time.Time
 }
 
-// noteRTTSend logs one transmission when RTT observation is enabled.
-func (e *engine) noteRTTSend(shard int, addr netip.Addr, at time.Time) {
-	if e.sendLog == nil {
-		return
-	}
-	e.sendLog[shard] = append(e.sendLog[shard], sendRec{addr: addr, at: at})
-}
-
 // noteRTTSends logs a whole batch of transmissions. ats carries per-probe
 // logical send instants (logical mode); when ats is nil every probe is logged
 // at fallbackAt, the instant the batch call returned.

@@ -9,22 +9,7 @@ import "net/netip"
 // calls, so callers never need their own build-tagged dispatch.
 
 func (t *UDPTransport) sendBatch(dsts []netip.Addr, payload []byte) (int, error) {
-	for i, dst := range dsts {
-		if err := t.Send(dst, payload); err != nil {
-			return i, err
-		}
-	}
-	return len(dsts), nil
+	return sendEach(len(dsts), func(i int) error { return t.Send(dsts[i], payload) })
 }
 
-func (t *UDPTransport) recvBatch(into []Datagram) (int, error) {
-	if len(into) == 0 {
-		return 0, nil
-	}
-	src, payload, at, err := t.Recv()
-	if err != nil {
-		return 0, err
-	}
-	into[0] = Datagram{Src: src, Payload: payload, At: at}
-	return 1, nil
-}
+func (t *UDPTransport) recvBatch(into []Datagram) (int, error) { return recvOne(t, into) }

@@ -16,6 +16,7 @@ import (
 	"snmpv3fp/internal/alias"
 	"snmpv3fp/internal/lru"
 	"snmpv3fp/internal/obs"
+	"snmpv3fp/internal/wire"
 )
 
 // Replica is the read-only receiving end of segment-shipping replication: a
@@ -80,6 +81,11 @@ const replicaStatsName = "REPLICA"
 // hold — the stream skipped ahead (e.g. a different primary). The replica
 // should reconnect and resynchronize from a fresh Hello.
 var ErrReplicaGap = errors.New("store: replica: commit references a segment not shipped")
+
+// ErrBadSegmentName reports a shipped segment whose name is not a canonical
+// segment file name (NNNNNN.seg). The replica would otherwise write, and
+// later delete, whatever path an unauthenticated peer names.
+var ErrBadSegmentName = errors.New("store: replica: invalid segment name")
 
 // OpenReplica opens (or creates) a replica directory and loads whatever a
 // previous session applied: manifest, segments, last shipped stats.
@@ -291,11 +297,7 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) (err error) {
 		hello.Held = append(hello.Held, name)
 	}
 	r.mu.Unlock()
-	body := replFramePool.Get()[:0]
-	body = appendReplHello(body, hello)
-	err = writeReplFrame(conn, replFrameHello, body)
-	replFramePool.Put(body)
-	if err != nil {
+	if err := wire.WriteFrame(conn, replFrameHello, appendReplHello(nil, hello)); err != nil {
 		return err
 	}
 
@@ -304,36 +306,38 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) (err error) {
 	var incoming *replSeg
 	var incomingBuf []byte
 	for {
-		typ, body, err := readReplFrame(conn)
+		typ, body, err := wire.ReadFrame(conn)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			return err
 		}
-		switch typ {
-		case replFrameSeg:
+		switch {
+		case typ == replFrameSeg:
 			seg, err := parseReplSeg(body)
 			if err != nil {
 				return err
+			}
+			// The name becomes a path in Dir now and a delete target once a
+			// later manifest drops it: only a canonical segment file name
+			// may pass, never "../x" or "MANIFEST".
+			if n, ok := fileNumber(seg.Name, ".seg"); !ok || fileName(n, ".seg") != seg.Name {
+				return fmt.Errorf("%w: %q", ErrBadSegmentName, seg.Name)
 			}
 			if seg.Size > 1<<32 {
 				return fmt.Errorf("store: replica: segment %s implausibly large (%d bytes)", seg.Name, seg.Size)
 			}
 			incoming = &seg
-			incomingBuf = make([]byte, 0, seg.Size)
-		case replFrameChunk:
-			if incoming == nil {
-				return errReplFrame
-			}
+			// Size is the peer's say-so: reserve at most one chunk up front
+			// and let the chunks that actually arrive grow the buffer.
+			incomingBuf = make([]byte, 0, min(seg.Size, replChunkSize))
+		case typ == replFrameChunk && incoming != nil:
 			if uint64(len(incomingBuf)+len(body)) > incoming.Size {
 				return fmt.Errorf("store: replica: segment %s overflows its announced size", incoming.Name)
 			}
 			incomingBuf = append(incomingBuf, body...)
-		case replFrameSegDone:
-			if incoming == nil {
-				return errReplFrame
-			}
+		case typ == replFrameSegDone && incoming != nil:
 			if uint64(len(incomingBuf)) != incoming.Size {
 				return fmt.Errorf("store: replica: segment %s truncated (%d of %d bytes)", incoming.Name, len(incomingBuf), incoming.Size)
 			}
@@ -347,7 +351,7 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) (err error) {
 			r.held[incoming.Name] = true
 			r.mu.Unlock()
 			incoming, incomingBuf = nil, nil
-		case replFrameCommit:
+		case typ == replFrameCommit:
 			c, err := parseReplCommit(body)
 			if err != nil {
 				return err
@@ -355,14 +359,11 @@ func (r *Replica) Sync(ctx context.Context, conn net.Conn) (err error) {
 			if err := r.applyCommit(c); err != nil {
 				return err
 			}
-			ack := replFramePool.Get()[:0]
-			ack = replAppendU64(ack, r.appliedSeq.Load())
-			err = writeReplFrame(conn, replFrameAck, ack)
-			replFramePool.Put(ack)
-			if err != nil {
+			if err := wire.WriteFrame(conn, replFrameAck, appendReplAck(nil, r.appliedSeq.Load())); err != nil {
 				return err
 			}
 		default:
+			// Includes a Chunk or SegDone outside a segment.
 			return fmt.Errorf("store: replica: unexpected frame %d", typ)
 		}
 	}

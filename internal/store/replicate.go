@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"snmpv3fp/internal/wire"
 )
 
 // Primary side of segment-shipping replication. Every manifest commit —
@@ -127,7 +129,7 @@ func (s *Store) serveReplConn(conn net.Conn) error {
 	s.repl.subscribers.Add(1)
 	defer s.repl.subscribers.Add(-1)
 
-	typ, body, err := readReplFrame(conn)
+	typ, body, err := wire.ReadFrame(conn)
 	if err != nil {
 		return err
 	}
@@ -152,8 +154,11 @@ func (s *Store) serveReplConn(conn net.Conn) error {
 	go func() {
 		defer close(connDead)
 		for {
-			typ, _, err := readReplFrame(conn)
+			typ, body, err := wire.ReadFrame(conn)
 			if err != nil || typ != replFrameAck {
+				return
+			}
+			if _, err := parseReplAck(body); err != nil {
 				return
 			}
 		}
@@ -199,11 +204,8 @@ func (s *Store) shipState(conn net.Conn, st replState, held map[string]bool) (bo
 			return false, err
 		}
 	}
-	body := replFramePool.Get()[:0]
-	body = appendReplCommit(body, replCommit{Manifest: st.manifest, Stats: st.stats})
-	err := writeReplFrame(conn, replFrameCommit, body)
-	replFramePool.Put(body)
-	if err != nil {
+	commit := appendReplCommit(nil, replCommit{Manifest: st.manifest, Stats: st.stats})
+	if err := wire.WriteFrame(conn, replFrameCommit, commit); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -218,15 +220,12 @@ func (s *Store) shipSegment(conn net.Conn, name string) error {
 	if err != nil {
 		return err
 	}
-	hdr := replFramePool.Get()[:0]
-	hdr = appendReplSeg(hdr, replSeg{
+	hdr := appendReplSeg(nil, replSeg{
 		Name: name,
 		Size: uint64(len(data)),
 		CRC:  crc32.Checksum(data, castagnoli),
 	})
-	err = writeReplFrame(conn, replFrameSeg, hdr)
-	replFramePool.Put(hdr)
-	if err != nil {
+	if err := wire.WriteFrame(conn, replFrameSeg, hdr); err != nil {
 		return err
 	}
 	for off := 0; off < len(data); off += replChunkSize {
@@ -234,9 +233,9 @@ func (s *Store) shipSegment(conn net.Conn, name string) error {
 		if end > len(data) {
 			end = len(data)
 		}
-		if err := writeReplFrame(conn, replFrameChunk, data[off:end]); err != nil {
+		if err := wire.WriteFrame(conn, replFrameChunk, data[off:end]); err != nil {
 			return err
 		}
 	}
-	return writeReplFrame(conn, replFrameSegDone, nil)
+	return wire.WriteFrame(conn, replFrameSegDone, nil)
 }

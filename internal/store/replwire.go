@@ -1,19 +1,11 @@
 package store
 
-import (
-	"errors"
-	"fmt"
-	"io"
-
-	"snmpv3fp/internal/bufpool"
-)
+import "snmpv3fp/internal/wire"
 
 // Replication wire protocol: a primary ships sealed segment files and
-// manifest commits to read replicas over one TCP stream per replica. Frames
-// are length-prefixed — a 4-byte big-endian length covering everything
-// after itself, a 1-byte type, a type-specific body — the same self-
-// delimiting shape as the vantage protocol (DESIGN.md §14), so the stream
-// needs no other synchronization.
+// manifest commits to read replicas over one TCP stream per replica, in the
+// internal/wire frames the vantage protocol (DESIGN.md §14) uses too, so the
+// stream needs no other synchronization.
 //
 // The session: the replica opens with Hello, naming the protocol version,
 // its applied manifest seq horizon and every complete segment file it
@@ -41,18 +33,9 @@ const (
 // built against an incompatible codec.
 const replProtoVersion = 1
 
-// replMaxFrame bounds a frame body; segment files chunk at replChunkSize,
-// which keeps well-formed frames far below this.
-const replMaxFrame = 8 << 20
-
-// replChunkSize is how many segment-file bytes travel per Chunk frame.
+// replChunkSize is how many segment-file bytes travel per Chunk frame,
+// which keeps well-formed frames far below wire.MaxFrame.
 const replChunkSize = 1 << 20
-
-// replFramePool recycles frame assembly buffers across the ship loop.
-var replFramePool = bufpool.New(64, 64<<10)
-
-// errReplFrame reports a malformed replication frame.
-var errReplFrame = errors.New("store: malformed replication frame")
 
 // replHello is the replica's opening frame.
 type replHello struct {
@@ -75,182 +58,61 @@ type replCommit struct {
 	Stats    []byte
 }
 
-func replAppendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-
-func replAppendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func replAppendU64(b []byte, v uint64) []byte {
-	return replAppendU32(replAppendU32(b, uint32(v>>32)), uint32(v))
-}
-
-func replU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// replRd cursors over a frame body, latching the first underflow.
-type replRd struct {
-	b   []byte
-	bad bool
-}
-
-func (r *replRd) take(n int) []byte {
-	if r.bad || len(r.b) < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *replRd) u16() uint16 {
-	v := r.take(2)
-	if v == nil {
-		return 0
-	}
-	return uint16(v[0])<<8 | uint16(v[1])
-}
-
-func (r *replRd) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return replU32(v)
-}
-
-func (r *replRd) u64() uint64 {
-	hi := r.u32()
-	lo := r.u32()
-	return uint64(hi)<<32 | uint64(lo)
-}
-
-func (r *replRd) str16() string {
-	n := int(r.u16())
-	v := r.take(n)
-	if v == nil {
-		return ""
-	}
-	return string(v)
-}
-
-func (r *replRd) bytes32() []byte {
-	n := int(r.u32())
-	v := r.take(n)
-	if v == nil {
-		return nil
-	}
-	return append([]byte(nil), v...)
-}
-
-func (r *replRd) done() error {
-	if r.bad || len(r.b) != 0 {
-		return errReplFrame
-	}
-	return nil
-}
-
-// writeReplFrame writes one length-prefixed frame. The body is not
-// retained.
-func writeReplFrame(w io.Writer, typ byte, body []byte) error {
-	if len(body)+1 > replMaxFrame {
-		return fmt.Errorf("store: replication frame too large (%d bytes)", len(body))
-	}
-	buf := replFramePool.Get()[:0]
-	buf = replAppendU32(buf, uint32(len(body)+1))
-	buf = append(buf, typ)
-	buf = append(buf, body...)
-	_, err := w.Write(buf)
-	replFramePool.Put(buf)
-	return err
-}
-
-// readReplFrame reads one frame; the body is freshly allocated.
-func readReplFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
-	}
-	n := replU32(hdr[:4])
-	if n < 1 || n > replMaxFrame {
-		return 0, nil, errReplFrame
-	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return 0, nil, replEOF(err)
-	}
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, replEOF(err)
-	}
-	return hdr[4], body, nil
-}
-
-// replEOF converts an EOF mid-frame into ErrUnexpectedEOF: a stream that
-// dies inside a frame is cut off, not done.
-func replEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
 func appendReplHello(b []byte, h replHello) []byte {
-	b = replAppendU32(b, h.Version)
-	b = replAppendU64(b, h.AppliedSeq)
-	b = replAppendU32(b, uint32(len(h.Held)))
+	b = wire.AppendU32(b, h.Version)
+	b = wire.AppendU64(b, h.AppliedSeq)
+	b = wire.AppendU32(b, uint32(len(h.Held)))
 	for _, name := range h.Held {
-		b = replAppendU16(b, uint16(len(name)))
-		b = append(b, name...)
+		b = wire.AppendStr16(b, name)
 	}
 	return b
 }
 
 func parseReplHello(body []byte) (replHello, error) {
-	r := replRd{b: body}
+	r := wire.NewReader(body)
 	var h replHello
-	h.Version = r.u32()
-	h.AppliedSeq = r.u64()
-	n := int(r.u32())
-	// Each held entry costs at least 2 bytes; reject counts the body
-	// cannot hold before allocating for them.
-	if r.bad || n > len(r.b)/2 {
-		return replHello{}, errReplFrame
+	h.Version = r.U32()
+	h.AppliedSeq = r.U64()
+	// Each held entry costs at least its 2-byte length.
+	for n := r.Count(2); n > 0; n-- {
+		h.Held = append(h.Held, r.Str16())
 	}
-	for i := 0; i < n; i++ {
-		h.Held = append(h.Held, r.str16())
-	}
-	return h, r.done()
+	return h, r.Done()
 }
 
 func appendReplSeg(b []byte, s replSeg) []byte {
-	b = replAppendU16(b, uint16(len(s.Name)))
-	b = append(b, s.Name...)
-	b = replAppendU64(b, s.Size)
-	return replAppendU32(b, s.CRC)
+	b = wire.AppendStr16(b, s.Name)
+	b = wire.AppendU64(b, s.Size)
+	return wire.AppendU32(b, s.CRC)
 }
 
 func parseReplSeg(body []byte) (replSeg, error) {
-	r := replRd{b: body}
+	r := wire.NewReader(body)
 	var s replSeg
-	s.Name = r.str16()
-	s.Size = r.u64()
-	s.CRC = r.u32()
-	return s, r.done()
+	s.Name = r.Str16()
+	s.Size = r.U64()
+	s.CRC = r.U32()
+	return s, r.Done()
 }
 
 func appendReplCommit(b []byte, c replCommit) []byte {
-	b = replAppendU32(b, uint32(len(c.Manifest)))
-	b = append(b, c.Manifest...)
-	b = replAppendU32(b, uint32(len(c.Stats)))
-	return append(b, c.Stats...)
+	b = wire.AppendBytes32(b, c.Manifest)
+	return wire.AppendBytes32(b, c.Stats)
 }
 
 func parseReplCommit(body []byte) (replCommit, error) {
-	r := replRd{b: body}
+	r := wire.NewReader(body)
 	var c replCommit
-	c.Manifest = r.bytes32()
-	c.Stats = r.bytes32()
-	return c, r.done()
+	c.Manifest = r.Bytes32()
+	c.Stats = r.Bytes32()
+	return c, r.Done()
+}
+
+// appendReplAck encodes the replica's applied seq horizon.
+func appendReplAck(b []byte, appliedSeq uint64) []byte { return wire.AppendU64(b, appliedSeq) }
+
+func parseReplAck(body []byte) (uint64, error) {
+	r := wire.NewReader(body)
+	seq := r.U64()
+	return seq, r.Done()
 }

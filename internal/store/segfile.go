@@ -39,8 +39,8 @@ import (
 //	               u64 minCampaign | u64 maxCampaign | u32 version |
 //	               u32 magic
 //
-// v2 files (three blocks, 44-byte footer, varint ip index, no bloom) are
-// still readable: they decode eagerly into the heap exactly as before.
+// v3 is the only format: a footer naming any other version is rejected
+// rather than misparsed.
 //
 // Files are written to a .tmp sibling, fsynced, renamed into place and the
 // directory fsynced, so a segment either exists whole or not at all; the
@@ -50,15 +50,9 @@ import (
 // (Options.VerifyOnOpen / snmpfpd -verify), kept on in durability-smoke.
 
 const (
-	segMagic = 0x53465031 // "SFP1"
-	// segVersion 3 added the bloom block, the fixed-width offset-carrying
-	// ip index and the footer metadata; 2 added the per-sample protocol
-	// tag. v1 files (pre-multi-protocol) are rejected rather than
-	// misparsed.
-	segVersion      = 3
-	segVersion2     = 2
-	segFooterSizeV2 = 3*(8+4) + 4 + 4
-	segFooterSize   = 4*(8+4) + 3*8 + 4 + 4
+	segMagic      = 0x53465031 // "SFP1"
+	segVersion    = 3
+	segFooterSize = 4*(8+4) + 3*8 + 4 + 4
 
 	segIPEntry4 = 4 + 1 + 3*4  // v4 ip index entry width
 	segIPEntry6 = 16 + 1 + 3*4 // v6 ip index entry width
@@ -280,11 +274,10 @@ func (d *disk) writeSegmentFile(name string, g *segment, withBloom bool) error {
 	return d.syncDir()
 }
 
-// openSegment opens one segment file for serving: v3 files through the
-// segReader (mmap on linux) with only the footer, index and bloom blocks
-// verified — the sample block stays untouched until a query needs it — and
-// v2 files through the legacy eager decode. verify forces a full
-// sample-block checksum and decode pass for either version.
+// openSegment opens one segment file for serving through the segReader
+// (mmap on linux) with only the footer, index and bloom blocks verified —
+// the sample block stays untouched until a query needs it. verify forces a
+// full sample-block checksum and decode pass.
 func openSegment(dir, name string, st *segStats, verify bool) (*segment, error) {
 	rd, err := openSegReader(filepath.Join(dir, name))
 	if err != nil {
@@ -301,30 +294,20 @@ func openSegment(dir, name string, st *segStats, verify bool) (*segment, error) 
 	if binary.LittleEndian.Uint32(data[len(data)-4:]) != segMagic {
 		return bad("bad magic")
 	}
-	switch v := binary.LittleEndian.Uint32(data[len(data)-8:]); v {
-	case segVersion2:
-		g, err := decodeSegmentV2(name, data)
-		// Everything is copied out of the file bytes; release them now.
-		_ = rd.close()
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	case segVersion:
-		g, err := openSegmentV3(name, data, st, verify)
-		if err != nil {
-			_ = rd.close()
-			return nil, err
-		}
-		g.lz.rd = rd
-		// The mapping must outlive every live reference to the segment;
-		// views pin the segment, the segment pins the lazySeg, and the
-		// cleanup unmaps only when both are unreachable.
-		runtime.SetFinalizer(g.lz, func(lz *lazySeg) { _ = lz.rd.close() })
-		return g, nil
-	default:
+	if v := binary.LittleEndian.Uint32(data[len(data)-8:]); v != segVersion {
 		return bad("unsupported version %d", v)
 	}
+	g, err := openSegmentV3(name, data, st, verify)
+	if err != nil {
+		_ = rd.close()
+		return nil, err
+	}
+	g.lz.rd = rd
+	// The mapping must outlive every live reference to the segment; views
+	// pin the segment, the segment pins the lazySeg, and the cleanup unmaps
+	// only when both are unreachable.
+	runtime.SetFinalizer(g.lz, func(lz *lazySeg) { _ = lz.rd.close() })
+	return g, nil
 }
 
 // openSegmentV3 parses a v3 file into a lazy segment over data. The caller
@@ -474,119 +457,5 @@ func openSegmentV3(name string, data []byte, st *segStats, verify bool) (*segmen
 			return bad("%v", err)
 		}
 	}
-	return g, nil
-}
-
-// decodeSegmentV2 is the legacy eager reader: verifies every CRC and
-// rebuilds the in-memory segment from the index blocks, copying everything
-// out of data.
-func decodeSegmentV2(name string, data []byte) (*segment, error) {
-	bad := func(format string, args ...any) (*segment, error) {
-		return nil, fmt.Errorf("store: segment %s corrupt: %s", name, fmt.Sprintf(format, args...))
-	}
-	if len(data) < segFooterSizeV2 {
-		return bad("short file (%d bytes)", len(data))
-	}
-	foot := data[len(data)-segFooterSizeV2:]
-	var blocks [3][]byte
-	off := 0
-	for i := 0; i < 3; i++ {
-		blen := binary.LittleEndian.Uint64(foot[i*12:])
-		crc := binary.LittleEndian.Uint32(foot[i*12+8:])
-		if uint64(len(data)-segFooterSizeV2-off) < blen {
-			return bad("block %d overruns file", i)
-		}
-		blk := data[off : off+int(blen)]
-		if crc32.Checksum(blk, castagnoli) != crc {
-			return bad("block %d checksum mismatch", i)
-		}
-		blocks[i] = blk
-		off += int(blen)
-	}
-	if off != len(data)-segFooterSizeV2 {
-		return bad("trailing garbage before footer")
-	}
-
-	// Sample block.
-	b := blocks[0]
-	count, n := binary.Uvarint(b)
-	if n <= 0 || count > uint64(len(b)) {
-		return bad("sample count")
-	}
-	b = b[n:]
-	g := &segment{
-		samples: make([]Sample, 0, count),
-		byIP:    make(map[netip.Addr]span),
-		engines: make(map[string][]netip.Addr),
-	}
-	for i := uint64(0); i < count; i++ {
-		s, n, err := decodeSampleEnc(b)
-		if err != nil {
-			return bad("sample %d: %v", i, err)
-		}
-		g.samples = append(g.samples, s)
-		b = b[n:]
-	}
-
-	// Per-IP index block (v2: varint spans, no offsets).
-	b = blocks[1]
-	count, n = binary.Uvarint(b)
-	if n <= 0 {
-		return bad("ip index count")
-	}
-	b = b[n:]
-	for i := uint64(0); i < count; i++ {
-		ip, n, err := decodeAddr(b)
-		if err != nil {
-			return bad("ip index %d: %v", i, err)
-		}
-		b = b[n:]
-		lo, n := binary.Uvarint(b)
-		if n <= 0 {
-			return bad("ip index %d lo", i)
-		}
-		b = b[n:]
-		hi, n := binary.Uvarint(b)
-		if n <= 0 {
-			return bad("ip index %d hi", i)
-		}
-		b = b[n:]
-		if lo > hi || hi > uint64(len(g.samples)) {
-			return bad("ip index %d span [%d,%d) out of range", i, lo, hi)
-		}
-		g.byIP[ip] = span{int(lo), int(hi)}
-	}
-
-	// Per-engine-ID index block.
-	b = blocks[2]
-	count, n = binary.Uvarint(b)
-	if n <= 0 {
-		return bad("engine index count")
-	}
-	b = b[n:]
-	for i := uint64(0); i < count; i++ {
-		idLen, n := binary.Uvarint(b)
-		if n <= 0 || idLen > walMaxRecord || uint64(len(b)-n) < idLen {
-			return bad("engine index %d id", i)
-		}
-		id := string(b[n : n+int(idLen)])
-		b = b[n+int(idLen):]
-		nIPs, n := binary.Uvarint(b)
-		if n <= 0 {
-			return bad("engine index %d ip count", i)
-		}
-		b = b[n:]
-		ips := make([]netip.Addr, 0, nIPs)
-		for j := uint64(0); j < nIPs; j++ {
-			ip, n, err := decodeAddr(b)
-			if err != nil {
-				return bad("engine index %d ip %d: %v", i, j, err)
-			}
-			ips = append(ips, ip)
-			b = b[n:]
-		}
-		g.engines[id] = ips
-	}
-	g.file = name
 	return g, nil
 }

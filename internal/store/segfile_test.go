@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +188,36 @@ func TestSegmentV3CorruptionDetection(t *testing.T) {
 	}
 	if _, err := openSegment(dir, "000001.seg", nil, false); err == nil {
 		t.Fatal("lazy open missed tail-block corruption")
+	}
+}
+
+// TestSegmentRejectsOtherVersions: v3 is the only segment format. A footer
+// naming any other version fails the open with the unsupported-version
+// error and leaves no mapping of the file behind.
+func TestSegmentRejectsOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	d := &disk{dir: dir}
+	if err := d.writeSegmentFile("000001.seg", buildTestSegment(50), true); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "000001.seg")
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{1, 2, 4} {
+		data := append([]byte(nil), pristine...)
+		binary.LittleEndian.PutUint32(data[len(data)-8:], v)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := openSegment(dir, "000001.seg", nil, false)
+		if want := fmt.Sprintf("unsupported version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: open = %v, want %q", v, err, want)
+		}
+		if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
+			t.Errorf("version %d: the rejected file is still mapped", v)
+		}
 	}
 }
 

@@ -110,9 +110,8 @@ type segStats struct {
 // readers touch them without synchronization.
 //
 // A segment is either eager (samples + maps in the heap: freshly built
-// memtable freezes, merges in flight, v2 files) or lazy (lz != nil: a v3
-// file served straight from its mapped bytes, decoding per-IP runs on
-// demand). All reads go through the accessor methods below, which hide the
+// memtable freezes, merges in flight) or lazy (lz != nil: a segment file
+// served straight from its mapped bytes, decoding per-IP runs on demand). All reads go through the accessor methods below, which hide the
 // difference.
 type segment struct {
 	samples []Sample

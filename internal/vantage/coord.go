@@ -12,6 +12,7 @@ import (
 	"snmpv3fp/internal/obs"
 	"snmpv3fp/internal/scanner"
 	"snmpv3fp/internal/store"
+	"snmpv3fp/internal/wire"
 )
 
 // CoordConfig tunes a campaign coordinator.
@@ -234,7 +235,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*Outcome, error) {
 func (c *Coordinator) handle(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTTL))
-	typ, body, err := ReadFrame(conn)
+	typ, body, err := wire.ReadFrame(conn)
 	if err != nil || typ != frameHello {
 		return
 	}
@@ -246,7 +247,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 		c.cfg.Logf("vantage %q speaks protocol %d, want %d; rejecting", hello.Name, hello.Version, protocolVersion)
 		return
 	}
-	if err := WriteFrame(conn, frameCampaign, AppendCampaignSpec(nil, c.cfg.Spec)); err != nil {
+	if err := wire.WriteFrame(conn, frameCampaign, AppendCampaignSpec(nil, c.cfg.Spec)); err != nil {
 		return
 	}
 	c.cfg.Logf("vantage %q connected", hello.Name)
@@ -255,7 +256,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	for {
 		u, lease, ok := c.acquireUnit(hello.Name)
 		if !ok {
-			WriteFrame(conn, frameCampaignDone, nil)
+			wire.WriteFrame(conn, frameCampaignDone, nil)
 			return
 		}
 		gauge.Add(1)
@@ -317,12 +318,12 @@ func (c *Coordinator) releaseUnit(u *unit, epoch uint64) {
 // deadline error and its unit re-leased. Returns nil once the unit
 // committed; any error means the unit must be released.
 func (c *Coordinator) runLease(conn net.Conn, u *unit, lease Lease) error {
-	if err := WriteFrame(conn, frameLease, AppendLease(nil, lease)); err != nil {
+	if err := wire.WriteFrame(conn, frameLease, AppendLease(nil, lease)); err != nil {
 		return err
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTTL))
-		typ, body, err := ReadFrame(conn)
+		typ, body, err := wire.ReadFrame(conn)
 		if err != nil {
 			return err
 		}

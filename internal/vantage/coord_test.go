@@ -13,6 +13,7 @@ import (
 	"snmpv3fp/internal/obs"
 	"snmpv3fp/internal/scanner"
 	"snmpv3fp/internal/store"
+	"snmpv3fp/internal/wire"
 )
 
 // testSpec is the campaign every distributed test reconstructs: a tiny
@@ -209,11 +210,11 @@ func TestHeartbeatTimeoutReLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hung.Close()
-	if err := WriteFrame(hung, frameHello, AppendHello(nil, Hello{Name: "hung", Version: protocolVersion})); err != nil {
+	if err := wire.WriteFrame(hung, frameHello, AppendHello(nil, Hello{Name: "hung", Version: protocolVersion})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // campaign spec, then a lease
-		if _, _, err := ReadFrame(hung); err != nil {
+		if _, _, err := wire.ReadFrame(hung); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"snmpv3fp/internal/scanner"
+	"snmpv3fp/internal/wire"
 )
 
 // FuzzWireFrame hammers the frame reader and every body parser with
@@ -32,17 +33,17 @@ func FuzzWireFrame(f *testing.F) {
 	for _, s := range seed {
 		for typ := byte(0); typ <= frameCampaignDone+1; typ++ {
 			var buf bytes.Buffer
-			if WriteFrame(&buf, typ, s) == nil {
+			if wire.WriteFrame(&buf, typ, s) == nil {
 				f.Add(buf.Bytes())
 			}
 		}
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, body, err := ReadFrame(bytes.NewReader(data))
+		typ, body, err := wire.ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			if err != io.EOF && err != io.ErrUnexpectedEOF &&
-				err != ErrFrameTooLarge && err != ErrTruncatedFrame {
+				err != wire.ErrFrameTooLarge && err != wire.ErrTruncated {
 				t.Fatalf("ReadFrame: unexpected error class %v", err)
 			}
 			// Still exercise the parsers on the raw input: a coordinator

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"snmpv3fp/internal/scanner"
+	"snmpv3fp/internal/wire"
 )
 
 // ErrKilled is returned by RunNode when a configured kill hook fired: the
@@ -58,7 +59,7 @@ type nodeConn struct {
 func (c *nodeConn) write(typ byte, body []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return WriteFrame(c.conn, typ, body)
+	return wire.WriteFrame(c.conn, typ, body)
 }
 
 // RunNode speaks the vantage side of the coordinator protocol over conn:
@@ -89,7 +90,7 @@ func RunNode(ctx context.Context, conn net.Conn, cfg NodeConfig) error {
 	if err := nc.write(frameHello, AppendHello(nil, Hello{Name: cfg.Name, Version: protocolVersion})); err != nil {
 		return err
 	}
-	typ, body, err := ReadFrame(conn)
+	typ, body, err := wire.ReadFrame(conn)
 	if err != nil {
 		return err
 	}
@@ -103,7 +104,7 @@ func RunNode(ctx context.Context, conn net.Conn, cfg NodeConfig) error {
 
 	shardsDone, partialsSent := 0, 0
 	for {
-		typ, body, err := ReadFrame(conn)
+		typ, body, err := wire.ReadFrame(conn)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

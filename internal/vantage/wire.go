@@ -5,25 +5,16 @@
 // partials into a campaign byte-identical to a single-process scan of the
 // same seed and configuration (DESIGN.md §14).
 //
-// This file is the wire codec. Frames are length-prefixed so the stream
-// self-delimits over TCP: a 4-byte big-endian length covering everything
-// after itself, a 1-byte frame type, and a type-specific body. All integers
-// are big-endian; times travel as Unix nanoseconds and decode in UTC, which
-// round-trips the virtual campaign clock exactly; addresses travel as a
-// 1-byte length (4 or 16) plus raw bytes.
+// This file holds the protocol's message types and their Append/Parse
+// pairs; frames and field encodings are internal/wire's.
 package vantage
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"math"
-	"net/netip"
 	"time"
 
-	"snmpv3fp/internal/bufpool"
 	"snmpv3fp/internal/netsim"
 	"snmpv3fp/internal/scanner"
+	"snmpv3fp/internal/wire"
 )
 
 // Frame types. The numbering is part of the protocol; append, never renumber.
@@ -41,18 +32,9 @@ const (
 // against an incompatible codec.
 const protocolVersion = 1
 
-// maxFrameLen bounds a frame body so a corrupt or hostile length prefix
-// cannot make ReadFrame allocate unboundedly. Partial frames chunk at
-// partialChunk responses, which keeps well-formed frames far below this.
-const maxFrameLen = 8 << 20
-
-// partialChunk is how many responses a vantage packs per Partial frame.
+// partialChunk is how many responses a vantage packs per Partial frame,
+// which keeps well-formed frames far below wire.MaxFrame.
 const partialChunk = 512
-
-// framePool recycles frame assembly buffers across the send loop. Frames
-// that outgrow a pooled buffer reallocate via append; Put recovers the
-// grown buffer for reuse either way.
-var framePool = bufpool.New(64, 64<<10)
 
 // Hello introduces a vantage node to the coordinator.
 type Hello struct {
@@ -127,330 +109,123 @@ type ShardDone struct {
 	Finished   time.Time
 }
 
-// ErrFrameTooLarge reports a length prefix beyond maxFrameLen.
-var ErrFrameTooLarge = errors.New("vantage: frame exceeds size limit")
-
-// ErrTruncatedFrame reports a body shorter than its fields claim.
-var ErrTruncatedFrame = errors.New("vantage: truncated frame body")
-
-// WriteFrame writes one length-prefixed frame. The body buffer is not
-// retained.
-func WriteFrame(w io.Writer, typ byte, body []byte) error {
-	if len(body)+1 > maxFrameLen {
-		return ErrFrameTooLarge
-	}
-	buf := framePool.Get()[:0]
-	buf = appendU32(buf, uint32(len(body)+1))
-	buf = append(buf, typ)
-	buf = append(buf, body...)
-	_, err := w.Write(buf)
-	framePool.Put(buf)
-	return err
-}
-
-// ReadFrame reads one frame, returning its type and body. The body is
-// freshly allocated and owned by the caller.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
-	}
-	n := u32(hdr[:4])
-	if n < 1 {
-		return 0, nil, ErrTruncatedFrame
-	}
-	if n > maxFrameLen {
-		return 0, nil, ErrFrameTooLarge
-	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return 0, nil, frameEOF(err)
-	}
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, frameEOF(err)
-	}
-	return hdr[4], body, nil
-}
-
-// frameEOF converts the io.EOF that ReadFull reports mid-frame into
-// ErrUnexpectedEOF: a stream that dies inside a frame is corrupt, not done.
-func frameEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// --- primitive append/parse helpers -----------------------------------------
-
-func appendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v>>8), byte(v))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return appendU32(appendU32(b, uint32(v>>32)), uint32(v))
-}
-
-func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
-
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// wireReader cursors over a frame body, latching the first underflow so
-// callers can chain reads and check the error once.
-type wireReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.bad || len(r.b) < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) u8() byte {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *wireReader) u16() uint16 {
-	v := r.take(2)
-	if v == nil {
-		return 0
-	}
-	return uint16(v[0])<<8 | uint16(v[1])
-}
-
-func (r *wireReader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return u32(v)
-}
-
-func (r *wireReader) u64() uint64 {
-	hi := r.u32()
-	lo := r.u32()
-	return uint64(hi)<<32 | uint64(lo)
-}
-
-func (r *wireReader) i64() int64 { return int64(r.u64()) }
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *wireReader) timeNanos() time.Time {
-	n := r.i64()
-	if r.bad {
-		return time.Time{}
-	}
-	return time.Unix(0, n).UTC()
-}
-
-// done reports whether the body parsed cleanly and completely. Trailing
-// bytes are rejected: a frame that says more than its type allows is as
-// corrupt as one that says less.
-func (r *wireReader) done() error {
-	if r.bad {
-		return ErrTruncatedFrame
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("vantage: %d trailing bytes in frame body", len(r.b))
-	}
-	return nil
-}
-
-func appendAddr(b []byte, a netip.Addr) []byte {
-	if a.Is4() {
-		v := a.As4()
-		b = append(b, 4)
-		return append(b, v[:]...)
-	}
-	v := a.As16()
-	b = append(b, 16)
-	return append(b, v[:]...)
-}
-
-func (r *wireReader) addr() netip.Addr {
-	switch n := r.u8(); n {
-	case 4:
-		v := r.take(4)
-		if v == nil {
-			return netip.Addr{}
-		}
-		return netip.AddrFrom4([4]byte(v))
-	case 16:
-		v := r.take(16)
-		if v == nil {
-			return netip.Addr{}
-		}
-		return netip.AddrFrom16([16]byte(v))
-	default:
-		r.bad = true
-		return netip.Addr{}
-	}
-}
-
-// --- message bodies ---------------------------------------------------------
-
 // AppendHello encodes h into b.
 func AppendHello(b []byte, h Hello) []byte {
-	if len(h.Name) > math.MaxUint16 {
-		h.Name = h.Name[:math.MaxUint16]
-	}
-	b = appendU32(b, h.Version)
-	b = appendU16(b, uint16(len(h.Name)))
-	return append(b, h.Name...)
+	b = wire.AppendU32(b, h.Version)
+	return wire.AppendStr16(b, h.Name)
 }
 
 // ParseHello decodes a Hello frame body.
 func ParseHello(body []byte) (Hello, error) {
-	r := wireReader{b: body}
+	r := wire.NewReader(body)
 	var h Hello
-	h.Version = r.u32()
-	n := int(r.u16())
-	name := r.take(n)
-	if name != nil {
-		h.Name = string(name)
-	}
-	return h, r.done()
+	h.Version = r.U32()
+	h.Name = r.Str16()
+	return h, r.Done()
 }
 
 // AppendCampaignSpec encodes spec into b.
 func AppendCampaignSpec(b []byte, spec CampaignSpec) []byte {
-	b = appendI64(b, spec.CampaignSeed)
-	b = appendI64(b, spec.SimSeed)
-	b = appendU32(b, uint32(spec.ScanDay))
-	b = appendU32(b, uint32(spec.ScanEpochs))
-	b = appendU32(b, uint32(spec.Rate))
-	b = appendU32(b, uint32(spec.Batch))
-	b = appendU32(b, uint32(spec.Workers))
-	b = appendU32(b, uint32(spec.Retries))
-	b = appendI64(b, int64(spec.Timeout))
-	b = appendU32(b, uint32(spec.TotalShards))
-	if spec.SimFull {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = wire.AppendI64(b, spec.CampaignSeed)
+	b = wire.AppendI64(b, spec.SimSeed)
+	b = wire.AppendU32(b, uint32(spec.ScanDay))
+	b = wire.AppendU32(b, uint32(spec.ScanEpochs))
+	b = wire.AppendU32(b, uint32(spec.Rate))
+	b = wire.AppendU32(b, uint32(spec.Batch))
+	b = wire.AppendU32(b, uint32(spec.Workers))
+	b = wire.AppendU32(b, uint32(spec.Retries))
+	b = wire.AppendI64(b, int64(spec.Timeout))
+	b = wire.AppendU32(b, uint32(spec.TotalShards))
+	b = wire.AppendBool(b, spec.SimFull)
+	b = wire.AppendBool(b, spec.Faults != nil)
 	if spec.Faults == nil {
-		return append(b, 0)
+		return b
 	}
-	b = append(b, 1)
 	f := spec.Faults
-	b = appendF64(b, f.Loss)
-	b = appendF64(b, f.RateLimit)
-	b = appendF64(b, f.Mismatch)
-	b = appendF64(b, f.Duplicate)
-	b = appendU32(b, uint32(f.DupCopies))
-	b = appendF64(b, f.Truncate)
-	b = appendF64(b, f.Corrupt)
-	b = appendF64(b, f.OffPath)
-	b = appendI64(b, int64(f.Jitter))
-	b = appendF64(b, f.SendErr)
-	return b
+	b = wire.AppendF64(b, f.Loss)
+	b = wire.AppendF64(b, f.RateLimit)
+	b = wire.AppendF64(b, f.Mismatch)
+	b = wire.AppendF64(b, f.Duplicate)
+	b = wire.AppendU32(b, uint32(f.DupCopies))
+	b = wire.AppendF64(b, f.Truncate)
+	b = wire.AppendF64(b, f.Corrupt)
+	b = wire.AppendF64(b, f.OffPath)
+	b = wire.AppendI64(b, int64(f.Jitter))
+	return wire.AppendF64(b, f.SendErr)
 }
 
 // ParseCampaignSpec decodes a Campaign frame body.
 func ParseCampaignSpec(body []byte) (CampaignSpec, error) {
-	r := wireReader{b: body}
+	r := wire.NewReader(body)
 	var spec CampaignSpec
-	spec.CampaignSeed = r.i64()
-	spec.SimSeed = r.i64()
-	spec.ScanDay = int(r.u32())
-	spec.ScanEpochs = int(r.u32())
-	spec.Rate = int(r.u32())
-	spec.Batch = int(r.u32())
-	spec.Workers = int(r.u32())
-	spec.Retries = int(r.u32())
-	spec.Timeout = time.Duration(r.i64())
-	spec.TotalShards = int(r.u32())
-	switch r.u8() {
-	case 0:
-	case 1:
-		spec.SimFull = true
-	default:
-		r.bad = true
+	spec.CampaignSeed = r.I64()
+	spec.SimSeed = r.I64()
+	spec.ScanDay = int(r.U32())
+	spec.ScanEpochs = int(r.U32())
+	spec.Rate = int(r.U32())
+	spec.Batch = int(r.U32())
+	spec.Workers = int(r.U32())
+	spec.Retries = int(r.U32())
+	spec.Timeout = time.Duration(r.I64())
+	spec.TotalShards = int(r.U32())
+	spec.SimFull = r.Bool()
+	if r.Bool() {
+		f := &netsim.FaultProfile{}
+		f.Loss = r.F64()
+		f.RateLimit = r.F64()
+		f.Mismatch = r.F64()
+		f.Duplicate = r.F64()
+		f.DupCopies = int(r.U32())
+		f.Truncate = r.F64()
+		f.Corrupt = r.F64()
+		f.OffPath = r.F64()
+		f.Jitter = time.Duration(r.I64())
+		f.SendErr = r.F64()
+		spec.Faults = f
 	}
-	switch r.u8() {
-	case 0:
-	case 1:
-		var f netsim.FaultProfile
-		f.Loss = r.f64()
-		f.RateLimit = r.f64()
-		f.Mismatch = r.f64()
-		f.Duplicate = r.f64()
-		f.DupCopies = int(r.u32())
-		f.Truncate = r.f64()
-		f.Corrupt = r.f64()
-		f.OffPath = r.f64()
-		f.Jitter = time.Duration(r.i64())
-		f.SendErr = r.f64()
-		if !r.bad {
-			spec.Faults = &f
-		}
-	default:
-		r.bad = true
-	}
-	return spec, r.done()
+	return spec, r.Done()
 }
 
 // AppendLease encodes l into b.
 func AppendLease(b []byte, l Lease) []byte {
-	b = appendU64(b, l.Epoch)
-	b = appendU32(b, uint32(l.Shard))
-	return appendU32(b, uint32(l.Viewpoint))
+	b = wire.AppendU64(b, l.Epoch)
+	b = wire.AppendU32(b, uint32(l.Shard))
+	return wire.AppendU32(b, uint32(l.Viewpoint))
 }
 
 // ParseLease decodes a Lease frame body.
 func ParseLease(body []byte) (Lease, error) {
-	r := wireReader{b: body}
+	r := wire.NewReader(body)
 	var l Lease
-	l.Epoch = r.u64()
-	l.Shard = int(r.u32())
-	l.Viewpoint = int(r.u32())
-	return l, r.done()
+	l.Epoch = r.U64()
+	l.Shard = int(r.U32())
+	l.Viewpoint = int(r.U32())
+	return l, r.Done()
 }
 
 // AppendHeartbeat encodes h into b.
 func AppendHeartbeat(b []byte, h Heartbeat) []byte {
-	return appendU64(b, h.Epoch)
+	return wire.AppendU64(b, h.Epoch)
 }
 
 // ParseHeartbeat decodes a Heartbeat frame body.
 func ParseHeartbeat(body []byte) (Heartbeat, error) {
-	r := wireReader{b: body}
-	h := Heartbeat{Epoch: r.u64()}
-	return h, r.done()
+	r := wire.NewReader(body)
+	h := Heartbeat{Epoch: r.U64()}
+	return h, r.Done()
 }
 
 // AppendPartial encodes p into b. Callers chunk Responses at partialChunk
-// so a frame never approaches maxFrameLen.
+// so a frame never approaches wire.MaxFrame.
 func AppendPartial(b []byte, p Partial) []byte {
-	b = appendU64(b, p.Epoch)
-	b = appendU32(b, uint32(p.Shard))
-	b = appendU32(b, uint32(p.Viewpoint))
-	b = appendU32(b, uint32(len(p.Responses)))
+	b = wire.AppendU64(b, p.Epoch)
+	b = wire.AppendU32(b, uint32(p.Shard))
+	b = wire.AppendU32(b, uint32(p.Viewpoint))
+	b = wire.AppendU32(b, uint32(len(p.Responses)))
 	for _, resp := range p.Responses {
-		b = appendI64(b, resp.At.UnixNano())
-		b = appendAddr(b, resp.Src)
-		b = appendU32(b, uint32(len(resp.Payload)))
-		b = append(b, resp.Payload...)
+		b = wire.AppendTime(b, resp.At)
+		b = wire.AppendAddr(b, resp.Src)
+		b = wire.AppendBytes32(b, resp.Payload)
 	}
 	return b
 }
@@ -458,35 +233,24 @@ func AppendPartial(b []byte, p Partial) []byte {
 // ParsePartial decodes a Partial frame body. Payloads are copied out of the
 // body, so the caller owns them outright.
 func ParsePartial(body []byte) (Partial, error) {
-	r := wireReader{b: body}
+	r := wire.NewReader(body)
 	var p Partial
-	p.Epoch = r.u64()
-	p.Shard = int(r.u32())
-	p.Viewpoint = int(r.u32())
-	count := int(r.u32())
+	p.Epoch = r.U64()
+	p.Shard = int(r.U32())
+	p.Viewpoint = int(r.U32())
 	// Each response costs at least 13 bytes on the wire (time + minimal
-	// addr + empty payload); reject counts the body cannot possibly hold
-	// before allocating for them.
-	if r.bad || count > len(r.b)/13 {
-		return Partial{}, ErrTruncatedFrame
-	}
-	if count > 0 {
-		p.Responses = make([]scanner.Response, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		var resp scanner.Response
-		resp.At = r.timeNanos()
-		resp.Src = r.addr()
-		n := int(r.u32())
-		if r.bad || n > len(r.b) {
-			return Partial{}, ErrTruncatedFrame
+	// addr + empty payload).
+	if n := r.Count(13); n > 0 {
+		p.Responses = make([]scanner.Response, 0, n)
+		for i := 0; i < n; i++ {
+			var resp scanner.Response
+			resp.At = r.Time()
+			resp.Src = r.Addr()
+			resp.Payload = r.Bytes32()
+			p.Responses = append(p.Responses, resp)
 		}
-		if raw := r.take(n); n > 0 {
-			resp.Payload = append([]byte(nil), raw...)
-		}
-		p.Responses = append(p.Responses, resp)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return Partial{}, err
 	}
 	return p, nil
@@ -494,29 +258,29 @@ func ParsePartial(body []byte) (Partial, error) {
 
 // AppendShardDone encodes d into b.
 func AppendShardDone(b []byte, d ShardDone) []byte {
-	b = appendU64(b, d.Epoch)
-	b = appendU32(b, uint32(d.Shard))
-	b = appendU32(b, uint32(d.Viewpoint))
-	b = appendU64(b, d.Sent)
-	b = appendU64(b, d.Retried)
-	b = appendU64(b, d.OffPath)
-	b = appendI64(b, d.ProbeMsgID)
-	b = appendI64(b, d.Started.UnixNano())
-	return appendI64(b, d.Finished.UnixNano())
+	b = wire.AppendU64(b, d.Epoch)
+	b = wire.AppendU32(b, uint32(d.Shard))
+	b = wire.AppendU32(b, uint32(d.Viewpoint))
+	b = wire.AppendU64(b, d.Sent)
+	b = wire.AppendU64(b, d.Retried)
+	b = wire.AppendU64(b, d.OffPath)
+	b = wire.AppendI64(b, d.ProbeMsgID)
+	b = wire.AppendTime(b, d.Started)
+	return wire.AppendTime(b, d.Finished)
 }
 
 // ParseShardDone decodes a ShardDone frame body.
 func ParseShardDone(body []byte) (ShardDone, error) {
-	r := wireReader{b: body}
+	r := wire.NewReader(body)
 	var d ShardDone
-	d.Epoch = r.u64()
-	d.Shard = int(r.u32())
-	d.Viewpoint = int(r.u32())
-	d.Sent = r.u64()
-	d.Retried = r.u64()
-	d.OffPath = r.u64()
-	d.ProbeMsgID = r.i64()
-	d.Started = r.timeNanos()
-	d.Finished = r.timeNanos()
-	return d, r.done()
+	d.Epoch = r.U64()
+	d.Shard = int(r.U32())
+	d.Viewpoint = int(r.U32())
+	d.Sent = r.U64()
+	d.Retried = r.U64()
+	d.OffPath = r.U64()
+	d.ProbeMsgID = r.I64()
+	d.Started = r.Time()
+	d.Finished = r.Time()
+	return d, r.Done()
 }

@@ -2,6 +2,8 @@ package vantage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/netip"
 	"reflect"
@@ -10,15 +12,16 @@ import (
 
 	"snmpv3fp/internal/netsim"
 	"snmpv3fp/internal/scanner"
+	"snmpv3fp/internal/wire"
 )
 
 func roundTrip(t *testing.T, typ byte, body []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, typ, body); err != nil {
+	if err := wire.WriteFrame(&buf, typ, body); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	gotTyp, gotBody, err := ReadFrame(&buf)
+	gotTyp, gotBody, err := wire.ReadFrame(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
@@ -134,7 +137,7 @@ func TestShardDoneRoundTrip(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, frameHello})
-	if _, _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
+	if _, _, err := wire.ReadFrame(&buf); err != wire.ErrFrameTooLarge {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -143,12 +146,12 @@ func TestReadFrameTruncatedStream(t *testing.T) {
 	// A frame header promising more bytes than the stream delivers must
 	// surface as unexpected EOF, not a clean end of stream.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, framePartial, AppendPartial(nil, Partial{Epoch: 3})); err != nil {
+	if err := wire.WriteFrame(&buf, framePartial, AppendPartial(nil, Partial{Epoch: 3})); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(full[:cut]))
+		_, _, err := wire.ReadFrame(bytes.NewReader(full[:cut]))
 		if err == nil {
 			t.Fatalf("truncation at %d bytes decoded successfully", cut)
 		}
@@ -157,8 +160,8 @@ func TestReadFrameTruncatedStream(t *testing.T) {
 		}
 	}
 	// Zero-length prefix (no type byte) is also invalid.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err != ErrTruncatedFrame {
-		t.Fatalf("zero-length frame: got %v, want ErrTruncatedFrame", err)
+	if _, _, err := wire.ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err != wire.ErrTruncated {
+		t.Fatalf("zero-length frame: got %v, want wire.ErrTruncated", err)
 	}
 }
 
@@ -169,13 +172,52 @@ func TestParseRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestWireGolden pins the protocol bytes: one populated instance of every
+// message type, each inside a full frame, hashed. The digest was taken
+// before framing moved into internal/wire; a change to it is a protocol
+// change and needs a protocolVersion bump.
+func TestWireGolden(t *testing.T) {
+	at := time.Date(2021, 4, 16, 3, 2, 1, 500, time.UTC)
+	frames := []struct {
+		typ  byte
+		body []byte
+	}{
+		{frameHello, AppendHello(nil, Hello{Name: "vantage-03", Version: protocolVersion})},
+		{frameCampaign, AppendCampaignSpec(nil, CampaignSpec{
+			CampaignSeed: 42, SimSeed: -7, SimFull: true, ScanDay: 15, ScanEpochs: 2,
+			Rate: 5000, Batch: 64, Workers: 4, Retries: 2, Timeout: 8 * time.Second, TotalShards: 8,
+			Faults: &netsim.FaultProfile{Loss: 0.1, RateLimit: 0.05, Mismatch: 0.02, Duplicate: 0.03,
+				DupCopies: 2, Truncate: 0.01, Corrupt: 0.015, OffPath: 0.2, Jitter: 30 * time.Millisecond, SendErr: 0.05},
+		})},
+		{frameLease, AppendLease(nil, Lease{Epoch: 1 << 40, Shard: 3, Viewpoint: 2})},
+		{frameHeartbeat, AppendHeartbeat(nil, Heartbeat{Epoch: 99})},
+		{framePartial, AppendPartial(nil, Partial{Epoch: 7, Shard: 1, Responses: []scanner.Response{
+			{Src: netip.MustParseAddr("192.0.2.9"), Payload: []byte{0x30, 0x82, 0x01}, At: at},
+			{Src: netip.MustParseAddr("2001:db8::5"), At: at.Add(time.Millisecond)},
+		}})},
+		{frameShardDone, AppendShardDone(nil, ShardDone{Epoch: 12, Shard: 5, Viewpoint: 1,
+			Sent: 1000, Retried: 30, OffPath: 4, ProbeMsgID: 42, Started: at, Finished: at.Add(5 * time.Minute)})},
+		{frameCampaignDone, nil},
+	}
+	h := sha256.New()
+	for _, f := range frames {
+		if err := wire.WriteFrame(h, f.typ, f.body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "3f8e926a9459104e91d7ce66c591809873bee6361bffb558f2d658f8d335b839"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("wire bytes changed: digest %s, want %s", got, want)
+	}
+}
+
 func TestParsePartialBogusCount(t *testing.T) {
 	// A count field larger than the body could possibly hold must be
 	// rejected before any allocation proportional to it.
-	body := appendU64(nil, 1)
-	body = appendU32(body, 0)
-	body = appendU32(body, 0)
-	body = appendU32(body, 0xFFFFFFF0)
+	body := wire.AppendU64(nil, 1)
+	body = wire.AppendU32(body, 0)
+	body = wire.AppendU32(body, 0)
+	body = wire.AppendU32(body, 0xFFFFFFF0)
 	if _, err := ParsePartial(body); err == nil {
 		t.Fatal("bogus response count accepted")
 	}
