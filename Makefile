@@ -43,7 +43,7 @@ ci:
 # 10 seconds of native fuzzing per target. go test accepts one -fuzz target
 # per invocation, so loop over every FuzzXxx the fuzzing packages list.
 fuzz-smoke:
-	@for pkg in ./internal/ber ./internal/snmp ./internal/probe ./internal/vantage ./internal/wire ./internal/store; do \
+	@for pkg in ./internal/ber ./internal/snmp ./internal/probe ./internal/vantage ./internal/wire ./internal/store ./internal/fusion; do \
 		for t in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$t"; \
 			$(GO) test $$pkg -run '^$$' -fuzz "^$$t$$" -fuzztime 10s || exit 1; \

@@ -46,8 +46,8 @@ func pairOf(a, b netip.Addr) Pair {
 // maxGroupFanout caps how many addresses of one group propose pairwise
 // candidates: pair expansion is quadratic, and a single amplifier-style
 // group (thousands of addresses behind one key) must not dominate the
-// candidate set. Groups beyond the cap propose pairs among their first
-// maxGroupFanout addresses only; the report counts the truncation.
+// candidate set. Groups beyond the cap propose pairs among their
+// maxGroupFanout lowest addresses only; the report counts the truncation.
 const maxGroupFanout = 256
 
 // ProtocolReport is the per-protocol slice of the fusion report.
@@ -130,6 +130,10 @@ func Fuse(evidence []ProtocolEvidence) *Report {
 			}
 			members := ips
 			if len(members) > maxGroupFanout {
+				// Cap at the lowest addresses, not the caller's first ones,
+				// so the candidate set ignores member order.
+				members = append([]netip.Addr(nil), ips...)
+				sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
 				members = members[:maxGroupFanout]
 				pr.OversizeGroups++
 			}

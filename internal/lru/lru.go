@@ -1,13 +1,12 @@
-// Package lru is a sharded, size-bounded LRU cache for the read tier: the
-// store's decoded per-IP block cache and serve's JSON result cache both sit
-// on it. Capacity is counted in caller-declared byte costs, not entries, so
-// one oversized value cannot silently blow the budget, and the shard count
-// keeps the lock uncontended under concurrent query load.
+// Package lru is a sharded, size-bounded LRU cache for the read tier; its
+// one user is serve's JSON result cache. Capacity is counted in
+// caller-declared byte costs, not entries, so one oversized value cannot
+// silently blow the budget, and the shard count keeps the lock uncontended
+// under concurrent query load.
 //
 // Hit/miss/eviction counters and a live byte gauge are maintained
 // internally; callers republish them into an obs.Registry as read-time
-// callbacks (the package deliberately has no obs dependency, so the store
-// can use it without an import cycle).
+// callbacks (the package deliberately has no obs dependency).
 package lru
 
 import (

@@ -80,6 +80,9 @@ type generator struct {
 
 	v4Cursor  uint32
 	v6ASIndex uint32
+	// v4Used counts the addresses placed in each AS's newest IPv4 prefix,
+	// so a full prefix is noticed without probing it.
+	v4Used map[*AS]uint64
 
 	usedEngineIDs map[string]bool
 	// sharedBootEvents creates the cross-device (last reboot, boots) tuple
@@ -101,6 +104,7 @@ func Generate(cfg Config) *World {
 			ptr:        make(map[netip.Addr]string),
 		},
 		v4Cursor:      iputil.V4ToUint(netip.MustParseAddr("1.0.0.0")),
+		v4Used:        make(map[*AS]uint64),
 		usedEngineIDs: make(map[string]bool),
 	}
 	// Campaigns are scheduled by the harness at StartTime+15d and +21d
@@ -385,17 +389,28 @@ func (g *generator) applyQuirkDetails(d *Device) {
 	}
 }
 
-// assignV4 places n addresses for the device inside the AS prefix.
-func (g *generator) assignV4(d *Device, p netip.Prefix, n int) {
-	size := iputil.PrefixSize(p)
+// assignV4 places n addresses for the device inside the AS's newest IPv4
+// prefix. When that prefix has no free address left, the AS gets one more
+// prefix of the same size and placement continues there.
+func (g *generator) assignV4(d *Device, a *AS, n int) {
+	p := a.V4Prefixes[len(a.V4Prefixes)-1]
+	size, used := iputil.PrefixSize(p), g.v4Used[a]
 	for len(d.V4) < n {
+		if used == size {
+			p = g.allocV4Prefix(int(size))
+			a.V4Prefixes = append(a.V4Prefixes, p)
+			used = 0
+			continue
+		}
 		addr := iputil.NthAddr(p, uint64(g.r.Int63n(int64(size))))
 		if _, taken := g.w.byAddr[addr]; taken {
 			continue
 		}
 		g.w.byAddr[addr] = d
 		d.V4 = append(d.V4, addr)
+		used++
 	}
+	g.v4Used[a] = used
 }
 
 func (g *generator) assignV6(d *Device, p netip.Prefix, n int) {
@@ -449,8 +464,7 @@ func (g *generator) genRouters() {
 		if a.Kind == ASHosting {
 			addrBudget += g.cfg.Servers / g.cfg.HostingASes * 2
 		}
-		p4 := g.allocV4Prefix(addrBudget * g.cfg.PrefixSlack)
-		a.V4Prefixes = append(a.V4Prefixes, p4)
+		a.V4Prefixes = append(a.V4Prefixes, g.allocV4Prefix(addrBudget*g.cfg.PrefixSlack))
 		p6 := g.allocV6Prefix()
 		a.V6Prefixes = append(a.V6Prefixes, p6)
 
@@ -475,10 +489,10 @@ func (g *generator) genRouters() {
 			case u < g.cfg.V6OnlyRouterProb:
 				g.assignV6(d, p6, nIf)
 			case u < g.cfg.V6OnlyRouterProb+g.cfg.DualStackRouterProb:
-				g.assignV4(d, p4, nIf)
+				g.assignV4(d, a, nIf)
 				g.assignV6(d, p6, max(1, nIf/2))
 			default:
-				g.assignV4(d, p4, nIf)
+				g.assignV4(d, a, nIf)
 			}
 			g.finishDevice(d, a)
 		}
@@ -491,7 +505,7 @@ func (g *generator) genServers() {
 		a := hosting[g.r.Intn(len(hosting))]
 		d := g.newDevice(ClassServer, Profiles["Net-SNMP"], a.Number)
 		d.Responds = true // reachable by construction; density is set by count
-		g.assignV4(d, a.V4Prefixes[0], 1+g.r.Intn(2))
+		g.assignV4(d, a, 1+g.r.Intn(2))
 		if g.r.Float64() < 0.15 {
 			g.assignV6(d, a.V6Prefixes[0], 1)
 		}
@@ -516,7 +530,7 @@ func (g *generator) genCPE() {
 				nIPs = 300
 			}
 		}
-		g.assignV4(d, a.V4Prefixes[0], nIPs)
+		g.assignV4(d, a, nIPs)
 		g.finishDevice(d, a)
 	}
 	// IPv6 CPE: hitlist-reachable, heavily churning.
@@ -542,7 +556,7 @@ func (g *generator) genIoT() {
 		a := eyeball[g.r.Intn(len(eyeball))]
 		d := g.newDevice(ClassIoT, Profiles[iotVendors[g.r.Intn(len(iotVendors))]], a.Number)
 		d.Responds = true
-		g.assignV4(d, a.V4Prefixes[0], 1)
+		g.assignV4(d, a, 1)
 		g.finishDevice(d, a)
 	}
 }
@@ -719,7 +733,7 @@ func (g *generator) genSpecialPopulations() {
 		d.Responds = true
 		d.Quirk = QuirkNone
 		d.EngineID = bugID
-		g.assignV4(d, a.V4Prefixes[0], 1)
+		g.assignV4(d, a, 1)
 		g.w.Devices = append(g.w.Devices, d)
 	}
 	// Shared engine IDs within one vendor (cloned firmware images): these
@@ -741,7 +755,7 @@ func (g *generator) genSpecialPopulations() {
 			d.Responds = true
 			d.Quirk = QuirkNone
 			d.EngineID = sharedID
-			g.assignV4(d, a.V4Prefixes[0], 1)
+			g.assignV4(d, a, 1)
 			g.w.Devices = append(g.w.Devices, d)
 		}
 	}
@@ -761,7 +775,7 @@ func (g *generator) genSpecialPopulations() {
 			// promiscuity check keys on the engine ID *data* recurring
 			// across enterprises.
 			d.EngineID = engineid.NewOctets(d.Profile.Enterprise, body)
-			g.assignV4(d, a.V4Prefixes[0], 1)
+			g.assignV4(d, a, 1)
 			g.w.Devices = append(g.w.Devices, d)
 		}
 	}
@@ -783,7 +797,7 @@ func (g *generator) genSpecialPopulations() {
 			})
 		}
 		d.EngineID = d.Pool[0].EngineID
-		g.assignV4(d, a.V4Prefixes[0], 1)
+		g.assignV4(d, a, 1)
 		g.w.Devices = append(g.w.Devices, d)
 	}
 	// A few amplifiers (Section 8: 48 addresses returned >1000 responses).
@@ -794,7 +808,7 @@ func (g *generator) genSpecialPopulations() {
 		d.Quirk = QuirkAmplify
 		d.DupCount = 1000 + g.r.Intn(4000)
 		d.EngineID = g.genEngineID(d)
-		g.assignV4(d, a.V4Prefixes[0], 1)
+		g.assignV4(d, a, 1)
 		g.w.Devices = append(g.w.Devices, d)
 	}
 }

@@ -498,3 +498,54 @@ func TestTCPTimestampClosedForSilent(t *testing.T) {
 		t.Error("unallocated address has TCP timestamps")
 	}
 }
+
+// TestGenerateFullPrefixTerminates: with too little slack an AS prefix fills
+// before every device is placed. Generation must still finish, carving the
+// AS another prefix, with every address unique, registered to its device and
+// inside one of its AS's prefixes.
+func TestGenerateFullPrefixTerminates(t *testing.T) {
+	tiny, dflt := TinyConfig(7), DefaultConfig(7)
+	tiny.PrefixSlack, dflt.PrefixSlack = 1, 2
+	for _, cfg := range []Config{tiny, dflt} {
+		done := make(chan *World, 1)
+		go func() { done <- Generate(cfg) }()
+		var w *World
+		select {
+		case w = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("Generate with PrefixSlack %d did not return", cfg.PrefixSlack)
+		}
+		grown := 0
+		for _, a := range w.ASes {
+			if len(a.V4Prefixes) > 1 {
+				grown++
+			}
+		}
+		if grown == 0 {
+			t.Fatalf("PrefixSlack %d: no AS needed a second prefix; the test no longer fills one", cfg.PrefixSlack)
+		}
+		seen := map[netip.Addr]bool{}
+		for _, d := range w.Devices {
+			prefixes := w.ASByNumber(d.ASN).V4Prefixes
+			for _, addr := range d.AllAddrs() {
+				if seen[addr] {
+					t.Fatalf("address %v assigned twice", addr)
+				}
+				seen[addr] = true
+				if w.DeviceAt(addr) != d {
+					t.Fatalf("address %v not mapped to its device", addr)
+				}
+				if !addr.Is4() {
+					continue
+				}
+				inside := false
+				for _, p := range prefixes {
+					inside = inside || p.Contains(addr)
+				}
+				if !inside {
+					t.Fatalf("device %d: %v outside its AS's prefixes %v", d.ID, addr, prefixes)
+				}
+			}
+		}
+	}
+}

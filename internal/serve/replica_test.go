@@ -47,23 +47,6 @@ func TestResultCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestResultCacheDisabled: WithResultCache(0) keeps every request on the
-// snapshot path.
-func TestResultCacheDisabled(t *testing.T) {
-	st, _, _ := seedStore(t)
-	srv := New(st, WithResultCache(0))
-	if srv.results != nil {
-		t.Fatal("cache allocated despite WithResultCache(0)")
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	a := get(t, ts, "/v1/vendors", 200, nil)
-	b := get(t, ts, "/v1/vendors", 200, nil)
-	if !bytes.Equal(a, b) {
-		t.Fatal("uncached identical GETs diverge")
-	}
-}
-
 // severedConn cuts the byte stream after a fixed read budget, simulating a
 // replica dying partway through the initial segment ship.
 type severedConn struct {

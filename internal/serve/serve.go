@@ -56,8 +56,7 @@ type Source interface {
 	Snapshot() *store.View
 }
 
-// defaultResultCacheBytes bounds the hot-response cache when the caller
-// doesn't size it explicitly.
+// defaultResultCacheBytes bounds the hot-response cache.
 const defaultResultCacheBytes = 32 << 20
 
 // Server routes API requests to a store.
@@ -66,14 +65,15 @@ type Server struct {
 	mux *http.ServeMux
 	reg *obs.Registry
 
-	// results caches encoded 200 bodies of view-pure endpoints, keyed by
-	// (view generation, path, query); nil when disabled.
+	// results caches encoded 200 bodies of the view-pure endpoints
+	// (/v1/ip, /v1/device, /v1/vendors, /v1/reboots, /v1/fusion), keyed by
+	// (view generation, path, query), so a burst of identical queries
+	// between ingests costs one snapshot walk and one JSON encode.
 	results *lru.Cache[[]byte]
 
 	reqIP, reqDevice, reqVendors, reqReboots, reqStats, reqMetrics atomic.Uint64
 	reqFusion                                                      atomic.Uint64
 	errors                                                         atomic.Uint64
-	cacheBytes                                                     int64
 }
 
 // Option configures a Server.
@@ -92,16 +92,6 @@ func WithObs(reg *obs.Registry) Option {
 	}
 }
 
-// WithResultCache sizes the hot-response cache: encoded 200 bodies of the
-// view-pure endpoints (/v1/ip, /v1/device, /v1/vendors, /v1/reboots,
-// /v1/fusion) are cached keyed by the store's view generation, so a burst
-// of identical queries between ingests costs one snapshot walk and one JSON
-// encode. maxBytes <= 0 disables the cache. Without this option the server
-// uses defaultResultCacheBytes.
-func WithResultCache(maxBytes int64) Option {
-	return func(s *Server) { s.cacheBytes = maxBytes }
-}
-
 // handlerFunc is an API handler: the request context is passed explicitly
 // so cancellation propagates without each handler re-deriving it.
 type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request)
@@ -113,12 +103,9 @@ type viewHandler func(v *store.View, w http.ResponseWriter, r *http.Request)
 // New builds a server over a snapshot source — a primary store or a read
 // replica.
 func New(st Source, opts ...Option) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), reg: obs.NewRegistry(), cacheBytes: defaultResultCacheBytes}
+	s := &Server{st: st, mux: http.NewServeMux(), reg: obs.NewRegistry(), results: lru.New[[]byte](defaultResultCacheBytes)}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.cacheBytes > 0 {
-		s.results = lru.New[[]byte](s.cacheBytes)
 	}
 	s.reg.Help("snmpfp_http_requests_total", "API requests by endpoint")
 	s.reg.Help("snmpfp_http_request_duration_seconds", "API request latency by endpoint")
@@ -135,9 +122,6 @@ func New(st Source, opts ...Option) *Server {
 
 // registerCacheMetrics exposes result-cache effectiveness in the registry.
 func (s *Server) registerCacheMetrics() {
-	if s.results == nil {
-		return
-	}
 	s.reg.Help("snmpfp_serve_result_cache_hits_total", "Result cache hits")
 	s.reg.Help("snmpfp_serve_result_cache_misses_total", "Result cache misses")
 	s.reg.Help("snmpfp_serve_result_cache_bytes", "Result cache resident bytes")
@@ -178,10 +162,6 @@ func (rr *resultRecorder) Write(p []byte) (int, error) {
 func (s *Server) cached(h viewHandler) handlerFunc {
 	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		v := s.st.Snapshot()
-		if s.results == nil {
-			h(v, w, r)
-			return
-		}
 		key := strconv.FormatUint(v.Stats().Version, 16) + "\x00" + r.URL.Path + "\x00" + r.URL.RawQuery
 		if body, ok := s.results.Get(key); ok {
 			w.Header().Set("Content-Type", "application/json")

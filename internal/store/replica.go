@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"snmpv3fp/internal/alias"
-	"snmpv3fp/internal/lru"
 	"snmpv3fp/internal/obs"
 	"snmpv3fp/internal/wire"
 )
@@ -65,9 +64,6 @@ type ReplicaOptions struct {
 	Variant alias.Variant
 	// Obs, when non-nil, receives the replica's metrics.
 	Obs *obs.Registry
-	// BlockCacheBytes bounds the decoded-block cache (0 = 16 MiB default,
-	// negative disables), exactly as Options.BlockCacheBytes.
-	BlockCacheBytes int64
 	// VerifyOnOpen checksums and decodes every sample of every shipped
 	// segment at open and apply time.
 	VerifyOnOpen bool
@@ -97,19 +93,12 @@ func OpenReplica(opt ReplicaOptions) (*Replica, error) {
 		opt.Variant = alias.Default
 	}
 	r := &Replica{
-		opt:    opt,
-		d:      &disk{dir: opt.Dir},
-		byName: map[string]*segment{},
-		held:   map[string]bool{},
-		conns:  map[net.Conn]struct{}{},
-	}
-	r.segStat = &segStats{}
-	cacheBytes := opt.BlockCacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = defaultBlockCacheBytes
-	}
-	if cacheBytes > 0 {
-		r.segStat.blocks = lru.New[[]Sample](cacheBytes)
+		opt:     opt,
+		d:       &disk{dir: opt.Dir},
+		segStat: &segStats{},
+		byName:  map[string]*segment{},
+		held:    map[string]bool{},
+		conns:   map[net.Conn]struct{}{},
 	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, err
@@ -187,15 +176,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 	reg.Help("snmpfp_replica_lag_seq", "replication lag: primary seq horizon minus applied")
 	reg.Help("snmpfp_replica_connected", "1 while a replication stream to the primary is live")
 	reg.Help("snmpfp_replica_commits_total", "manifest commits applied")
-	if r.segStat != nil {
-		reg.CounterFunc("snmpfp_store_seg_query_bytes_total", r.segStat.queryBytes.Load)
-		if c := r.segStat.blocks; c != nil {
-			reg.CounterFunc("snmpfp_store_block_cache_hits_total", c.Hits)
-			reg.CounterFunc("snmpfp_store_block_cache_misses_total", c.Misses)
-			reg.CounterFunc("snmpfp_store_block_cache_evictions_total", c.Evictions)
-			reg.GaugeFunc("snmpfp_store_block_cache_bytes", func() float64 { return float64(c.Bytes()) })
-		}
-	}
+	reg.CounterFunc("snmpfp_store_seg_query_bytes_total", r.segStat.queryBytes.Load)
 }
 
 // Close severs every Sync in flight and waits for it to return, so nothing
@@ -396,7 +377,7 @@ func (r *Replica) applyCommit(c replCommit) error {
 	r.mu.Unlock()
 
 	// Open newly shipped segments outside the lock (index validation and
-	// mmap), reusing already open ones so their cache ids stay warm.
+	// mmap), reusing already open ones.
 	opened := map[string]*segment{}
 	r.mu.Lock()
 	for name, g := range r.byName {

@@ -445,9 +445,7 @@ func openSegmentV3(name string, data []byte, st *segStats, verify bool) (*segmen
 		minC:    minC,
 		maxC:    maxC,
 		st:      st,
-	}
-	if st != nil {
-		lz.id = st.nextSegID.Add(1)
+		name:    name,
 	}
 	g := &segment{file: name, lz: lz}
 	if verify {

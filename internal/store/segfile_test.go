@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"snmpv3fp/internal/lru"
 )
 
 // buildTestSegment makes an eager segment with a spread of v4 IPs, two
@@ -122,31 +120,6 @@ func TestSegmentBloomScreensNegatives(t *testing.T) {
 	if bloomBytes*5 > noBloomBytes {
 		t.Fatalf("bloom path read %d bytes over %d misses vs %d without; want ≥5x reduction",
 			bloomBytes, misses, noBloomBytes)
-	}
-}
-
-// TestSegmentBlockCache: a repeated positive lookup is served from the
-// cache — no extra segment bytes read — and the result is identical.
-func TestSegmentBlockCache(t *testing.T) {
-	st := &segStats{blocks: lru.New[[]Sample](1 << 20)}
-	g := buildTestSegment(300)
-	lz := writeAndOpen(t, g, true, false, st)
-	var addr = mkObs("10.5.0.1", nil, 0, 0, t0).IP
-	first := lz.ipSamples(addr)
-	if len(first) == 0 {
-		t.Fatal("expected samples for a present IP")
-	}
-	cold := st.queryBytes.Load()
-	again := lz.ipSamples(addr)
-	if mustJSON(t, again) != mustJSON(t, first) {
-		t.Fatal("cached result diverges")
-	}
-	warm := st.queryBytes.Load()
-	if warm != cold {
-		t.Fatalf("cache hit still read %d segment bytes", warm-cold)
-	}
-	if st.blocks.Hits() == 0 {
-		t.Fatal("no cache hit recorded")
 	}
 }
 

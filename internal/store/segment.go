@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"snmpv3fp/internal/core"
-	"snmpv3fp/internal/lru"
 )
 
 // Sample is one stored observation: what a single campaign saw at one IP.
@@ -89,20 +88,14 @@ func sampleLess(a, b *Sample) bool {
 // span is a half-open index range into a segment's sample slice.
 type span struct{ lo, hi int }
 
-// segStats is the shared read-tier plumbing every lazily opened segment of
-// one store (or replica) hangs off: the bytes-read accounting behind the
-// bloom-effectiveness bench, the decoded-block cache, and the id counter
-// that keys cache entries per segment incarnation.
+// segStats is the read-tier accounting every lazily opened segment of one
+// store (or replica) shares.
 type segStats struct {
 	// queryBytes counts segment bytes actually touched by point lookups —
-	// index entries probed plus sample bytes decoded. Bloom probes and
-	// block-cache hits cost zero, which is exactly the number the
-	// cold-negative-lookup acceptance criterion is measured on.
+	// index entries probed plus sample bytes decoded. Bloom probes cost
+	// zero, which is exactly the number the cold-negative-lookup
+	// acceptance criterion is measured on.
 	queryBytes atomic.Uint64
-	nextSegID  atomic.Uint64
-	// blocks caches decoded per-IP sample runs, keyed (segment id, addr);
-	// nil disables.
-	blocks *lru.Cache[[]Sample]
 }
 
 // segment is one immutable sorted run of samples with its per-IP and
@@ -146,7 +139,9 @@ type lazySeg struct {
 	// scans skip whole segments from the footer alone.
 	minC, maxC uint64
 	st         *segStats
-	id         uint64
+	// name is the segment file's base name, for decode and corruption
+	// errors.
+	name string
 }
 
 func (lz *lazySeg) read(n int) {
@@ -194,7 +189,7 @@ func (lz *lazySeg) decodeSpan(off, n int) ([]Sample, error) {
 	for i := 0; i < n; i++ {
 		sm, sz, err := decodeSampleEnc(b)
 		if err != nil {
-			return nil, fmt.Errorf("store: segment %d sample decode at %d: %w", lz.id, off+read, err)
+			return nil, fmt.Errorf("store: segment %s sample decode at %d: %w", lz.name, off+read, err)
 		}
 		out = append(out, sm)
 		b = b[sz:]
@@ -206,7 +201,7 @@ func (lz *lazySeg) decodeSpan(off, n int) ([]Sample, error) {
 
 // ipSamples returns the segment's samples for addr (all protocols), nil if
 // absent. The bloom filter screens first (zero bytes touched on a true
-// negative), then the index probe, then the block cache or a decode.
+// negative), then the index probe, then a decode straight from the mapping.
 func (lz *lazySeg) ipSamples(addr netip.Addr) []Sample {
 	var scratch [17]byte
 	if addr.Is4() {
@@ -224,18 +219,6 @@ func (lz *lazySeg) ipSamples(addr netip.Addr) []Sample {
 	if !addr.Is4() {
 		ipLen = 16
 	}
-	// The cache key is (segment id, addr) — independent of the index entry —
-	// so a warm hit skips the index probe entirely and reads zero bytes.
-	var key string
-	if lz.st != nil && lz.st.blocks != nil {
-		var kb [32]byte
-		k := binary.LittleEndian.AppendUint64(kb[:0], lz.id)
-		k = append(k, scratch[:1+ipLen]...)
-		key = string(k)
-		if cached, ok := lz.st.blocks.Get(key); ok {
-			return cached
-		}
-	}
 	e := lz.ipEntry(addr)
 	if e == nil {
 		return nil
@@ -250,9 +233,6 @@ func (lz *lazySeg) ipSamples(addr netip.Addr) []Sample {
 		// live store. Fail stop, like the SIGBUS an externally truncated
 		// mapping would raise.
 		panic(err)
-	}
-	if key != "" {
-		lz.st.blocks.Put(key, out, sampleSliceCost(out))
 	}
 	return out
 }
@@ -273,7 +253,7 @@ func (lz *lazySeg) engineIPs(id []byte) []netip.Addr {
 		b := lz.engBlk[off:]
 		idLen, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b)-n) < idLen {
-			panic(fmt.Errorf("store: segment %d engine index corrupt at %d", lz.id, off))
+			panic(fmt.Errorf("store: segment %s engine index corrupt at %d", lz.name, off))
 		}
 		entryID := b[n : n+int(idLen)]
 		lz.read(4 + n + int(idLen))
@@ -282,7 +262,7 @@ func (lz *lazySeg) engineIPs(id []byte) []netip.Addr {
 			b = b[n+int(idLen):]
 			nIPs, n := binary.Uvarint(b)
 			if n <= 0 {
-				panic(fmt.Errorf("store: segment %d engine entry corrupt at %d", lz.id, off))
+				panic(fmt.Errorf("store: segment %s engine entry corrupt at %d", lz.name, off))
 			}
 			b = b[n:]
 			ips := make([]netip.Addr, 0, nIPs)
@@ -290,7 +270,7 @@ func (lz *lazySeg) engineIPs(id []byte) []netip.Addr {
 			for j := uint64(0); j < nIPs; j++ {
 				ip, sz, err := decodeAddr(b)
 				if err != nil {
-					panic(fmt.Errorf("store: segment %d engine entry corrupt at %d: %w", lz.id, off, err))
+					panic(fmt.Errorf("store: segment %s engine entry corrupt at %d: %w", lz.name, off, err))
 				}
 				ips = append(ips, ip)
 				b = b[sz:]
@@ -314,13 +294,13 @@ func (lz *lazySeg) scan(fn func(*Sample)) error {
 	b := lz.sblk
 	_, n := binary.Uvarint(b)
 	if n <= 0 {
-		return fmt.Errorf("store: segment %d sample count corrupt", lz.id)
+		return fmt.Errorf("store: segment %s sample count corrupt", lz.name)
 	}
 	b = b[n:]
 	for i := 0; i < lz.count; i++ {
 		sm, sz, err := decodeSampleEnc(b)
 		if err != nil {
-			return fmt.Errorf("store: segment %d sample %d: %w", lz.id, i, err)
+			return fmt.Errorf("store: segment %s sample %d: %w", lz.name, i, err)
 		}
 		fn(&sm)
 		b = b[sz:]
@@ -349,20 +329,10 @@ func (lz *lazySeg) forEachEngineID(fn func(id []byte)) {
 		b := lz.engBlk[off:]
 		idLen, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b)-n) < idLen {
-			panic(fmt.Errorf("store: segment %d engine index corrupt at %d", lz.id, off))
+			panic(fmt.Errorf("store: segment %s engine index corrupt at %d", lz.name, off))
 		}
 		fn(b[n : n+int(idLen)])
 	}
-}
-
-// sampleSliceCost estimates the heap footprint of a decoded sample run for
-// the block cache's byte budget.
-func sampleSliceCost(samples []Sample) int64 {
-	cost := int64(24)
-	for i := range samples {
-		cost += 112 + int64(len(samples[i].EngineID)) + int64(len(samples[i].Protocol))
-	}
-	return cost
 }
 
 // ---- accessor methods: the one query surface over both representations ----
@@ -377,7 +347,7 @@ func (g *segment) length() int {
 
 // ipSamples returns the segment's samples for addr (all protocols) in
 // canonical order, nil if absent. Callers must not mutate the result: it
-// may be a shared sub-slice (eager) or a cached decode (lazy).
+// may be a shared sub-slice (eager).
 func (g *segment) ipSamples(addr netip.Addr) []Sample {
 	if g.lz != nil {
 		return g.lz.ipSamples(addr)

@@ -38,7 +38,6 @@ import (
 
 	"snmpv3fp/internal/alias"
 	"snmpv3fp/internal/core"
-	"snmpv3fp/internal/lru"
 	"snmpv3fp/internal/obs"
 )
 
@@ -72,19 +71,11 @@ type Options struct {
 	// every segment (the pre-v3 behavior). Off by default: v3 segments
 	// open lazily, verifying only their footer, index and bloom blocks.
 	VerifyOnOpen bool
-	// BlockCacheBytes bounds the decoded-block cache shared by the
-	// store's lazy segments: 0 means the 16 MiB default, negative
-	// disables caching. In-memory stores have no block cache.
-	BlockCacheBytes int64
 
 	// hooks intercepts durable-path steps; crash-recovery tests use it to
 	// kill the store at arbitrary points.
 	hooks *diskHooks
 }
-
-// defaultBlockCacheBytes bounds the decoded-block cache when
-// Options.BlockCacheBytes is zero.
-const defaultBlockCacheBytes = 16 << 20
 
 func (o *Options) fill() {
 	if o.FlushThreshold <= 0 {
@@ -187,9 +178,8 @@ type Store struct {
 	// acquired while holding mu.
 	diskMu sync.Mutex
 
-	// segStat is the shared read-tier state of the store's lazy segments:
-	// query-bytes accounting and the decoded-block cache. Nil for
-	// in-memory stores (whose segments are always eager).
+	// segStat is the query-bytes accounting shared by the store's lazy
+	// segments. Nil for in-memory stores (whose segments are always eager).
 	segStat *segStats
 	// repl publishes committed (manifest, stats, segments) states to
 	// replication subscribers; nil for in-memory stores.
@@ -238,13 +228,6 @@ func Open(opt Options) (*Store, error) {
 	if opt.Dir != "" {
 		s.d = &disk{dir: opt.Dir, hooks: opt.hooks}
 		s.segStat = &segStats{}
-		cacheBytes := opt.BlockCacheBytes
-		if cacheBytes == 0 {
-			cacheBytes = defaultBlockCacheBytes
-		}
-		if cacheBytes > 0 {
-			s.segStat.blocks = lru.New[[]Sample](cacheBytes)
-		}
 		s.repl = newReplPub()
 		if err := s.recover(); err != nil {
 			return nil, err
@@ -528,16 +511,6 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 	if s.segStat != nil {
 		reg.CounterFunc("snmpfp_store_seg_query_bytes_total", s.segStat.queryBytes.Load)
 		reg.Help("snmpfp_store_seg_query_bytes_total", "segment bytes touched by point lookups (index probes plus decoded samples; bloom rejections cost zero)")
-		if c := s.segStat.blocks; c != nil {
-			reg.CounterFunc("snmpfp_store_block_cache_hits_total", c.Hits)
-			reg.CounterFunc("snmpfp_store_block_cache_misses_total", c.Misses)
-			reg.CounterFunc("snmpfp_store_block_cache_evictions_total", c.Evictions)
-			reg.GaugeFunc("snmpfp_store_block_cache_bytes", func() float64 { return float64(c.Bytes()) })
-			reg.Help("snmpfp_store_block_cache_hits_total", "decoded-block cache hits")
-			reg.Help("snmpfp_store_block_cache_misses_total", "decoded-block cache misses")
-			reg.Help("snmpfp_store_block_cache_evictions_total", "decoded-block cache evictions")
-			reg.Help("snmpfp_store_block_cache_bytes", "decoded-block cache resident bytes")
-		}
 	}
 	if s.repl != nil {
 		reg.CounterFunc("snmpfp_store_repl_commits_total", s.repl.commits.Load)
@@ -549,7 +522,7 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 
 // SegBytesRead reports how many segment bytes point lookups have touched —
 // index entries probed plus sample bytes decoded; bloom-filter rejections
-// and block-cache hits count zero. The same counter backs
+// count zero. The same counter backs
 // snmpfp_store_seg_query_bytes_total, which ./benchmark reports per query
 // as store.seg_bytes_per_query; TestSegmentBloomScreensNegatives pins the
 // bloom filters' effect on it. Always zero for in-memory stores.
