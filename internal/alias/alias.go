@@ -169,9 +169,14 @@ type Key struct {
 }
 
 // Key computes the grouping key for one merged observation.
-func (v Variant) Key(m *filter.Merged) Key {
+func (v Variant) Key(m *filter.Merged) Key { return v.KeyWith(m, string(m.EngineID)) }
+
+// KeyWith is Key with the engine ID already converted by the caller, which
+// must pass string(m.EngineID): an incremental caller interns it instead of
+// allocating a copy per call.
+func (v Variant) KeyWith(m *filter.Merged, engineID string) Key {
 	k := Key{
-		EngineID: string(m.EngineID),
+		EngineID: engineID,
 		Boots1:   m.Boots[0],
 		Reboot1:  v.Bin.apply(m.LastReboot[0]),
 	}

@@ -80,22 +80,34 @@ type Report struct {
 // consumers (internal/store) use it to validate IPs one at a time with
 // exactly the batch pipeline's semantics.
 func Merge(ip netip.Addr, o1, o2 *core.Observation) (*Merged, bool) {
-	if o1 == nil || o2 == nil || len(o1.EngineID) == 0 || len(o2.EngineID) == 0 {
+	var m Merged
+	if !MergeInto(&m, ip, o1, o2) {
 		return nil, false
+	}
+	out := m // the only allocation, and only for a merge
+	return &out, true
+}
+
+// MergeInto is Merge writing into a caller-owned Merged, for consumers that
+// embed it rather than allocate one per IP. It reports false, leaving dst
+// unchanged, when the observations do not merge.
+func MergeInto(dst *Merged, ip netip.Addr, o1, o2 *core.Observation) bool {
+	if o1 == nil || o2 == nil || len(o1.EngineID) == 0 || len(o2.EngineID) == 0 {
+		return false
 	}
 	if string(o1.EngineID) != string(o2.EngineID) || o1.Inconsistent || o2.Inconsistent {
-		return nil, false
+		return false
 	}
-	m := &Merged{
+	*dst = Merged{
 		IP:         ip,
 		EngineID:   o1.EngineID,
 		Parsed:     engineid.Classify(o1.EngineID),
 		Boots:      [2]int64{o1.EngineBoots, o2.EngineBoots},
 		EngineTime: [2]int64{o1.EngineTime, o2.EngineTime},
 		RecvAt:     [2]time.Time{o1.ReceivedAt, o2.ReceivedAt},
+		LastReboot: [2]time.Time{o1.LastReboot(), o2.LastReboot()},
 	}
-	m.LastReboot = [2]time.Time{o1.LastReboot(), o2.LastReboot()}
-	return m, true
+	return true
 }
 
 // LongEnough is step 3: the engine ID meets the minimum length.
@@ -103,13 +115,14 @@ func (m *Merged) LongEnough() bool { return len(m.EngineID) >= MinEngineIDLen }
 
 // PromiscuityBody returns the engine-ID body that step 4 checks for
 // promiscuity (the same body claimed under multiple enterprise numbers),
-// or ok=false for bodies too short to participate in the check.
-func (m *Merged) PromiscuityBody() (string, bool) {
+// or ok=false for bodies too short to participate in the check. The bytes
+// alias the engine ID; callers keying a map convert them only to insert.
+func (m *Merged) PromiscuityBody() ([]byte, bool) {
 	body := m.Parsed.Data
 	if len(body) < MinEngineIDLen {
-		return "", false
+		return nil, false
 	}
-	return string(body), true
+	return body, true
 }
 
 // RoutableIPv4 is step 5: IPv4-format engine IDs must embed routable
@@ -233,16 +246,16 @@ func Run(scan1, scan2 *core.Campaign) *Report {
 	bodyVendors := make(map[string]uint32, len(merged))
 	promiscuous := make(map[string]bool)
 	for _, m := range merged {
-		key, ok := m.PromiscuityBody()
+		body, ok := m.PromiscuityBody()
 		if !ok {
 			continue
 		}
-		if ent, seen := bodyVendors[key]; seen {
+		if ent, seen := bodyVendors[string(body)]; seen {
 			if ent != m.Parsed.Enterprise {
-				promiscuous[key] = true
+				promiscuous[string(body)] = true
 			}
 		} else {
-			bodyVendors[key] = m.Parsed.Enterprise
+			bodyVendors[string(body)] = m.Parsed.Enterprise
 		}
 	}
 	merged, removed = partition(merged, func(m *Merged) bool {

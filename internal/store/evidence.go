@@ -107,7 +107,7 @@ func (s *Store) IngestEvidence(ctx context.Context, protocol string, samples []E
 // addEvidenceLocked mirrors addLocked for non-SNMP samples: WAL + memtable
 // only. Evidence deliberately skips known/engines and the prev/cur/aidx
 // alias state — those are SNMPv3 derived structures, and
-// rebuildDerivedState's replay skips Protocol != "" samples to match.
+// rebuildDerived's replay skips Protocol != "" samples to match.
 func (s *Store) addEvidenceLocked(protocol string, e *EvidenceSample) {
 	s.seq++
 	sm := Sample{

@@ -13,14 +13,18 @@ func mkEvidence(ip, key string, at time.Time) EvidenceSample {
 }
 
 func TestSampleEncProtocolRoundtrip(t *testing.T) {
-	for _, proto := range []string{"", "icmp-ts", "ntp"} {
+	// One Sample and one arena across iterations, as a segment scan reuses
+	// them: each decode must overwrite every field the last one set.
+	var out Sample
+	var ids idArena
+	for _, proto := range []string{"ntp", "", "icmp-ts"} {
 		in := Sample{
 			IP: netip.MustParseAddr("192.0.2.9"), Campaign: 3, Seq: 17,
 			Protocol: proto, EngineID: []byte("ts:be:42"), Boots: 2, EngineTime: 99,
 			ReceivedAt: t0, Packets: 2, Inconsistent: proto == "ntp",
 		}
 		b := appendSampleEnc(nil, &in)
-		out, n, err := decodeSampleEnc(b)
+		n, err := decodeSampleEnc(b, &out, &ids)
 		if err != nil {
 			t.Fatalf("%q: decode: %v", proto, err)
 		}

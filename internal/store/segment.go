@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +45,12 @@ func (s *Sample) LastReboot() time.Time {
 
 // Observation converts the sample back to the pipeline's native type.
 func (s *Sample) Observation() *core.Observation {
-	return &core.Observation{
+	o := s.observation()
+	return &o
+}
+
+func (s *Sample) observation() core.Observation {
+	return core.Observation{
 		IP:           s.IP,
 		EngineID:     s.EngineID,
 		EngineBoots:  s.Boots,
@@ -68,21 +75,21 @@ func sampleFrom(o *core.Observation, campaign, seq uint64) Sample {
 	}
 }
 
-// sampleLess is the canonical segment order: (IP, Campaign, Protocol, Seq).
+// sampleCmp is the canonical segment order: (IP, Campaign, Protocol, Seq).
 // Protocol "" (SNMPv3) sorts first within a campaign, so the legacy
 // single-protocol layout is unchanged when no multi-protocol evidence
-// exists.
-func sampleLess(a, b *Sample) bool {
-	if a.IP != b.IP {
-		return a.IP.Less(b.IP)
+// exists. Seq is store-global, so no two samples compare equal.
+func sampleCmp(a, b Sample) int {
+	if c := a.IP.Compare(b.IP); c != 0 {
+		return c
 	}
-	if a.Campaign != b.Campaign {
-		return a.Campaign < b.Campaign
+	if c := cmp.Compare(a.Campaign, b.Campaign); c != 0 {
+		return c
 	}
-	if a.Protocol != b.Protocol {
-		return a.Protocol < b.Protocol
+	if c := strings.Compare(a.Protocol, b.Protocol); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // span is a half-open index range into a segment's sample slice.
@@ -184,14 +191,14 @@ func (lz *lazySeg) ipEntry(addr netip.Addr) []byte {
 // sample block.
 func (lz *lazySeg) decodeSpan(off, n int) ([]Sample, error) {
 	b := lz.sblk[off:]
-	out := make([]Sample, 0, n)
+	out := make([]Sample, n)
+	var ids idArena
 	read := 0
-	for i := 0; i < n; i++ {
-		sm, sz, err := decodeSampleEnc(b)
+	for i := range out {
+		sz, err := decodeSampleEnc(b, &out[i], &ids)
 		if err != nil {
 			return nil, fmt.Errorf("store: segment %s sample decode at %d: %w", lz.name, off+read, err)
 		}
-		out = append(out, sm)
 		b = b[sz:]
 		read += sz
 	}
@@ -289,7 +296,9 @@ func (lz *lazySeg) engineIPs(id []byte) []netip.Addr {
 
 // scan streams every sample through fn in canonical order. Used by full
 // scans (fusion evidence, recovery replay, compaction merges) — nothing is
-// retained, so a lazy segment never materializes a heap copy of itself.
+// retained, so a lazy segment never materializes a heap copy of itself. Each
+// sample is decoded into the same Sample, its engine ID into one arena for
+// the whole scan.
 func (lz *lazySeg) scan(fn func(*Sample)) error {
 	b := lz.sblk
 	_, n := binary.Uvarint(b)
@@ -297,8 +306,10 @@ func (lz *lazySeg) scan(fn func(*Sample)) error {
 		return fmt.Errorf("store: segment %s sample count corrupt", lz.name)
 	}
 	b = b[n:]
+	var sm Sample
+	var ids idArena
 	for i := 0; i < lz.count; i++ {
-		sm, sz, err := decodeSampleEnc(b)
+		sz, err := decodeSampleEnc(b, &sm, &ids)
 		if err != nil {
 			return fmt.Errorf("store: segment %s sample %d: %w", lz.name, i, err)
 		}
@@ -369,7 +380,8 @@ func (g *segment) engineIPs(id []byte) []netip.Addr {
 }
 
 // scan streams every sample through fn in canonical order. The *Sample is
-// only valid for the duration of the call.
+// only valid for the duration of the call; a copy of it stays valid, engine
+// ID included.
 func (g *segment) scan(fn func(*Sample)) error {
 	if g.lz != nil {
 		return g.lz.scan(fn)
@@ -401,7 +413,7 @@ func (g *segment) mustScan(fn func(*Sample)) {
 // buildSegment sorts the samples into canonical order and indexes them. It
 // takes ownership of the slice.
 func buildSegment(samples []Sample) *segment {
-	sort.Slice(samples, func(i, j int) bool { return sampleLess(&samples[i], &samples[j]) })
+	slices.SortFunc(samples, sampleCmp)
 	g := &segment{
 		samples: samples,
 		byIP:    make(map[netip.Addr]span),
@@ -456,7 +468,7 @@ func mergeSegments(segs []*segment) (*segment, int, error) {
 			return nil, 0, err
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return sampleLess(&all[i], &all[j]) })
+	slices.SortFunc(all, sampleCmp)
 	kept := all[:0]
 	for i := range all {
 		if len(kept) > 0 {
@@ -490,13 +502,11 @@ func (m *memtable) add(sm Sample) {
 }
 
 // reserve grows the sample log to accept n more samples without
-// reallocating, so a batched campaign ingest pays one growth instead of a
-// doubling cascade.
+// reallocating. Growth is geometric (at least double), so the batches of one
+// memtable generation copy it O(log n) times, not once per batch.
 func (m *memtable) reserve(n int) {
 	if free := cap(m.samples) - len(m.samples); free < n {
-		grown := make([]Sample, len(m.samples), len(m.samples)+n)
-		copy(grown, m.samples)
-		m.samples = grown
+		m.samples = slices.Grow(m.samples, max(n, cap(m.samples)))
 	}
 }
 

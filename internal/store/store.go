@@ -27,12 +27,13 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -352,14 +353,33 @@ type derived struct {
 // sample blocks are decoded only when the footer's campaign range
 // intersects the (previous, current) alias pair. On a store with a long
 // segment tail, recovery reads a few percent of the bytes it used to.
+//
+// The replay allocates per chunk, not per sample: the sets and the pair
+// are presized from index and footer counts, each campaign of the pair is
+// one observation slab and one engine-ID arena, and the seq sort runs only
+// when the replay arrives out of order (Ingest assigns seq in address
+// order, which is segment order, so normally it does not).
 func rebuildDerived(segs []*segment, mem []Sample, campaign uint64, variant alias.Variant) (derived, error) {
+	// The largest segment's counts are a lower bound on the distinct sets;
+	// with one compacted segment, or one per campaign, they are most of it.
+	nIP, nEng := 0, 0
+	for _, g := range segs {
+		if lz := g.lz; lz != nil {
+			nIP = max(nIP, lz.n4+lz.n6)
+			nEng = max(nEng, lz.nEng)
+		}
+	}
 	d := derived{
 		campaign: campaign,
-		known:    map[netip.Addr]struct{}{},
-		engines:  map[string]struct{}{},
-		prev:     map[netip.Addr]*core.Observation{},
-		cur:      map[netip.Addr]*core.Observation{},
+		known:    make(map[netip.Addr]struct{}, nIP),
+		engines:  make(map[string]struct{}, nEng),
 		aidx:     newAliasIndex(variant),
+	}
+	addEngine := func(id []byte) {
+		// The lookup converts without allocating; only a new key does.
+		if _, ok := d.engines[string(id)]; !ok {
+			d.engines[string(id)] = struct{}{}
+		}
 	}
 	global := func(sm *Sample) {
 		if sm.Campaign > d.campaign {
@@ -373,7 +393,7 @@ func rebuildDerived(segs []*segment, mem []Sample, campaign uint64, variant alia
 		}
 		d.known[sm.IP] = struct{}{}
 		if len(sm.EngineID) > 0 {
-			d.engines[string(sm.EngineID)] = struct{}{}
+			addEngine(sm.EngineID)
 		}
 	}
 	for _, g := range segs {
@@ -387,9 +407,7 @@ func rebuildDerived(segs []*segment, mem []Sample, campaign uint64, variant alia
 					d.known[addr] = struct{}{}
 				}
 			})
-			lz.forEachEngineID(func(id []byte) {
-				d.engines[string(id)] = struct{}{}
-			})
+			lz.forEachEngineID(addEngine)
 			continue
 		}
 		if err := g.scan(global); err != nil {
@@ -400,9 +418,28 @@ func rebuildDerived(segs []*segment, mem []Sample, campaign uint64, variant alia
 		global(&mem[i])
 	}
 	if d.campaign == 0 {
+		d.prev = map[netip.Addr]*core.Observation{}
+		d.cur = map[netip.Addr]*core.Observation{}
 		return d, nil
 	}
-	var prevSamples, curSamples []Sample
+	// Presize each side from the footers, assuming a segment's samples
+	// spread evenly over its campaign range, plus an eighth for campaigns
+	// that answered more: growing a slab copies all of it.
+	var prev, cur pairReplay
+	nPrev, nCur := 0, len(mem)
+	for _, g := range segs {
+		if lz := g.lz; lz != nil {
+			per := lz.count / (int(min(lz.maxC-lz.minC, uint64(lz.count))) + 1)
+			if g.mayContainCampaign(d.campaign - 1) {
+				nPrev += per
+			}
+			if g.mayContainCampaign(d.campaign) {
+				nCur += per
+			}
+		}
+	}
+	prev.obs = make([]replayObs, 0, nPrev+nPrev/8)
+	cur.obs = make([]replayObs, 0, nCur+nCur/8)
 	pick := func(sm *Sample) {
 		// The alias pipeline is SNMPv3-only: non-SNMP evidence must
 		// never enter prev/cur or the incremental alias index (it
@@ -412,9 +449,9 @@ func rebuildDerived(segs []*segment, mem []Sample, campaign uint64, variant alia
 		}
 		switch sm.Campaign {
 		case d.campaign - 1:
-			prevSamples = append(prevSamples, *sm)
+			prev.add(sm)
 		case d.campaign:
-			curSamples = append(curSamples, *sm)
+			cur.add(sm)
 		}
 	}
 	for _, g := range segs {
@@ -428,18 +465,52 @@ func rebuildDerived(segs []*segment, mem []Sample, campaign uint64, variant alia
 	for i := range mem {
 		pick(&mem[i])
 	}
-	sort.Slice(prevSamples, func(i, j int) bool { return prevSamples[i].Seq < prevSamples[j].Seq })
-	sort.Slice(curSamples, func(i, j int) bool { return curSamples[i].Seq < curSamples[j].Seq })
-	for i := range prevSamples {
-		d.prev[prevSamples[i].IP] = prevSamples[i].Observation()
+	prev.sortBySeq()
+	cur.sortBySeq()
+	d.prev = make(map[netip.Addr]*core.Observation, len(prev.obs))
+	for i := range prev.obs {
+		o := &prev.obs[i].o
+		d.prev[o.IP] = o
 	}
-	d.aidx.reset([2]uint64{d.campaign - 1, d.campaign})
-	for i := range curSamples {
-		o := curSamples[i].Observation()
+	d.cur = make(map[netip.Addr]*core.Observation, len(cur.obs))
+	d.aidx.reset([2]uint64{d.campaign - 1, d.campaign}, min(len(d.prev), len(cur.obs)))
+	for i := range cur.obs {
+		o := &cur.obs[i].o
 		d.cur[o.IP] = o
 		d.aidx.update(o.IP, d.prev[o.IP], o)
 	}
 	return d, nil
+}
+
+// replayObs is one SNMPv3 sample of the alias pair as rebuildDerived
+// replays it: the observation, and the seq that orders the replay.
+type replayObs struct {
+	seq uint64
+	o   core.Observation
+}
+
+// pairReplay gathers one campaign of the alias pair: the observations in
+// one slab the derived maps point into, their engine IDs in one arena of
+// their own (the scan's arena also holds the IDs of every campaign outside
+// the pair, which the derived state must not pin).
+type pairReplay struct {
+	obs []replayObs
+	ids idArena
+}
+
+func (p *pairReplay) add(sm *Sample) {
+	o := sm.observation()
+	o.EngineID = p.ids.copy(o.EngineID)
+	p.obs = append(p.obs, replayObs{seq: sm.Seq, o: o})
+}
+
+// sortBySeq puts the replay in seq order, checking first: a store built by
+// Ingest alone is already in order.
+func (p *pairReplay) sortBySeq() {
+	bySeq := func(a, b replayObs) int { return cmp.Compare(a.seq, b.seq) }
+	if !slices.IsSortedFunc(p.obs, bySeq) {
+		slices.SortFunc(p.obs, bySeq)
+	}
 }
 
 // registerMetrics republishes the store's counters and layout gauges as
@@ -628,7 +699,7 @@ func (s *Store) BeginCampaign() (uint64, error) {
 	n := s.campaign
 	s.prev = s.cur
 	s.cur = map[netip.Addr]*core.Observation{}
-	s.aidx.reset([2]uint64{s.campaign - 1, s.campaign})
+	s.aidx.reset([2]uint64{s.campaign - 1, s.campaign}, 0)
 	s.pub.alias = nil
 	if s.d != nil {
 		s.walBuf = appendWALBegin(s.walBuf, s.campaign)

@@ -78,12 +78,54 @@ func appendSampleEnc(b []byte, s *Sample) []byte {
 	return append(b, s.Protocol...)
 }
 
-// decodeSampleEnc decodes one appendSampleEnc payload, returning the sample
-// and the number of bytes consumed.
-func decodeSampleEnc(b []byte) (Sample, int, error) {
-	var s Sample
-	fail := func(what string) (Sample, int, error) {
-		return Sample{}, 0, fmt.Errorf("store: sample decode: truncated %s", what)
+// idArena hands out engine-ID copies carved from shared chunks, so a decode
+// pass allocates once per chunk instead of once per sample. The copies are
+// never slices of a segment mapping: a compacted segment's finalizer unmaps
+// it while derived state and query results still hold its engine IDs. A
+// chunk stays alive while any copy in it does, so whoever retains only a
+// few of the samples decoded copies those IDs into an arena of its own.
+type idArena struct {
+	buf []byte
+	// proto is the last protocol tag decoded; evidence samples of one
+	// protocol arrive in runs, so the string is converted once per run.
+	proto string
+}
+
+// idArenaMaxChunk caps chunk growth: chunks start small (a point lookup
+// decodes a sample or two) and double up to this size.
+const idArenaMaxChunk = 16 << 10
+
+// copy returns a copy of b (nil for an empty b). The copy's capacity is its
+// length, so an append by its holder reallocates rather than overwriting
+// the next copy.
+func (a *idArena) copy(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if cap(a.buf)-len(a.buf) < len(b) {
+		size := min(max(2*cap(a.buf), 32), idArenaMaxChunk)
+		a.buf = make([]byte, 0, max(size, len(b)))
+	}
+	n := len(a.buf)
+	a.buf = append(a.buf, b...)
+	return a.buf[n:len(a.buf):len(a.buf)]
+}
+
+// protocol returns b as a string, reusing the previous conversion while the
+// tag repeats.
+func (a *idArena) protocol(b []byte) string {
+	if string(b) != a.proto {
+		a.proto = string(b)
+	}
+	return a.proto
+}
+
+// decodeSampleEnc decodes one appendSampleEnc payload into s, overwriting
+// every field, and returns the number of bytes consumed. The engine ID is
+// copied into ids. On error s is left partially written.
+func decodeSampleEnc(b []byte, s *Sample, ids *idArena) (int, error) {
+	fail := func(what string) (int, error) {
+		return 0, fmt.Errorf("store: sample decode: truncated %s", what)
 	}
 	if len(b) < 1 {
 		return fail("ip length")
@@ -98,7 +140,7 @@ func decodeSampleEnc(b []byte) (Sample, int, error) {
 		s.IP = netip.AddrFrom16([16]byte(b[off : off+16]))
 	}
 	off += ipLen
-	uv := func(what string) (uint64, bool) {
+	uv := func() (uint64, bool) {
 		v, n := binary.Uvarint(b[off:])
 		if n <= 0 {
 			return 0, false
@@ -106,7 +148,7 @@ func decodeSampleEnc(b []byte) (Sample, int, error) {
 		off += n
 		return v, true
 	}
-	sv := func(what string) (int64, bool) {
+	sv := func() (int64, bool) {
 		v, n := binary.Varint(b[off:])
 		if n <= 0 {
 			return 0, false
@@ -115,36 +157,34 @@ func decodeSampleEnc(b []byte) (Sample, int, error) {
 		return v, true
 	}
 	var ok bool
-	if s.Campaign, ok = uv("campaign"); !ok {
+	if s.Campaign, ok = uv(); !ok {
 		return fail("campaign")
 	}
-	if s.Seq, ok = uv("seq"); !ok {
+	if s.Seq, ok = uv(); !ok {
 		return fail("seq")
 	}
-	idLen, ok := uv("engine id length")
+	idLen, ok := uv()
 	if !ok || idLen > walMaxRecord || len(b) < off+int(idLen) {
 		return fail("engine id")
 	}
-	if idLen > 0 {
-		s.EngineID = append([]byte(nil), b[off:off+int(idLen)]...)
-	}
+	s.EngineID = ids.copy(b[off : off+int(idLen)])
 	off += int(idLen)
-	if s.Boots, ok = sv("boots"); !ok {
+	if s.Boots, ok = sv(); !ok {
 		return fail("boots")
 	}
-	if s.EngineTime, ok = sv("engine time"); !ok {
+	if s.EngineTime, ok = sv(); !ok {
 		return fail("engine time")
 	}
-	sec, ok := sv("receive seconds")
+	sec, ok := sv()
 	if !ok {
 		return fail("receive seconds")
 	}
-	nsec, ok := uv("receive nanos")
+	nsec, ok := uv()
 	if !ok {
 		return fail("receive nanos")
 	}
 	s.ReceivedAt = time.Unix(sec, int64(nsec)).UTC()
-	pk, ok := uv("packets")
+	pk, ok := uv()
 	if !ok {
 		return fail("packets")
 	}
@@ -154,15 +194,16 @@ func decodeSampleEnc(b []byte) (Sample, int, error) {
 	}
 	s.Inconsistent = b[off] == 1
 	off++
-	protoLen, ok := uv("protocol length")
+	protoLen, ok := uv()
 	if !ok || protoLen > walMaxRecord || len(b) < off+int(protoLen) {
 		return fail("protocol")
 	}
+	s.Protocol = ""
 	if protoLen > 0 {
-		s.Protocol = string(b[off : off+int(protoLen)])
+		s.Protocol = ids.protocol(b[off : off+int(protoLen)])
 	}
 	off += int(protoLen)
-	return s, off, nil
+	return off, nil
 }
 
 // appendWALRecord frames one payload (length + CRC) onto b.
@@ -172,13 +213,18 @@ func appendWALRecord(b, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// appendWALSample frames a sample record onto b. scratch growth is the
-// caller's; the typical record is ~60 bytes.
+// appendWALSample frames a sample record onto b, encoding the payload in
+// place and back-filling its length and CRC, so the only allocation is b's
+// own growth. The bytes equal appendWALRecord over a separately built
+// payload.
 func appendWALSample(b []byte, s *Sample) []byte {
-	payload := make([]byte, 0, 80)
-	payload = append(payload, walRecSample)
-	payload = appendSampleEnc(payload, s)
-	return appendWALRecord(b, payload)
+	hdr := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, walRecSample)
+	b = appendSampleEnc(b, s)
+	payload := b[hdr+8:]
+	binary.LittleEndian.PutUint32(b[hdr:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[hdr+4:], crc32.Checksum(payload, castagnoli))
+	return b
 }
 
 // appendWALBegin frames a campaign-boundary record onto b.
@@ -289,6 +335,8 @@ type walReplay struct {
 // exactly the state this one recovered.
 func replayWAL(dir string, files []string, durableSeq uint64) (walReplay, error) {
 	var rep walReplay
+	var sm Sample
+	var ids idArena
 	for i, name := range files {
 		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
@@ -321,16 +369,15 @@ func replayWAL(dir string, files []string, durableSeq uint64) (walReplay, error)
 					rep.maxCampaign = c
 				}
 			case walRecSample:
-				s, _, err := decodeSampleEnc(payload[1:])
-				if err != nil {
+				if _, err := decodeSampleEnc(payload[1:], &sm, &ids); err != nil {
 					corrupt = true
 					break
 				}
-				if s.Seq > rep.maxSeq {
-					rep.maxSeq = s.Seq
+				if sm.Seq > rep.maxSeq {
+					rep.maxSeq = sm.Seq
 				}
-				if s.Seq > durableSeq {
-					rep.samples = append(rep.samples, s)
+				if sm.Seq > durableSeq {
+					rep.samples = append(rep.samples, sm)
 				}
 			default:
 				corrupt = true
